@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # CI pipeline. Tiers are cumulative; run the highest tier you have time for.
 #
-#   ./ci.sh            tier-1   (build + vet + rcuvet + full test suite, no
+#   ./ci.sh            tier-1   (build + vet + rcuvet + full test suite, then
+#                                vet + tests of the nested benchmark/ module; no
 #                                race detector; rcuvet is the in-repo static
 #                                analysis suite — see DESIGN.md "Static
 #                                analysis". rcuvet runs with -time so the
@@ -102,6 +103,12 @@ tier1() {
 	fi
 	echo '--- tier-1: go test ./...'
 	go test ./...
+	# benchmark/ is its own module (replace rcuarray => ../) that imports
+	# rcuarray/internal/...: `./...` above does not reach it, so without this
+	# a root change that breaks it is noticed only by the benchmark pipeline.
+	echo '--- tier-1: go -C benchmark vet ./... && go -C benchmark test ./...'
+	go -C benchmark vet ./...
+	go -C benchmark test ./...
 }
 
 tier15() {
@@ -228,7 +235,7 @@ serve() {
 	# which alone costs 3) fails the tier. Fixed -benchtime keeps the run fast
 	# and the counts deterministic.
 	go test ./internal/comm/ -run nomatch \
-		-bench 'BenchmarkFrameEncode$|BenchmarkFrameEncodePut$|BenchmarkFrameDecodePooled$|BenchmarkGetRoundTrip$|BenchmarkPutRoundTrip$|BenchmarkGetPipelined32$' \
+		-bench 'BenchmarkFrameEncode$|BenchmarkFrameEncodePut$|BenchmarkFrameDecodePooled$|BenchmarkGetRoundTrip$|BenchmarkPutRoundTrip$|BenchmarkWindowGet$' \
 		-benchmem -benchtime 10000x | tee /tmp/rcu_alloc_bench.txt
 	awk 'BEGIN {
 		budget["BenchmarkFrameEncode"] = 0
@@ -236,7 +243,8 @@ serve() {
 		budget["BenchmarkFrameDecodePooled"] = 1
 		budget["BenchmarkGetRoundTrip"] = 9
 		budget["BenchmarkPutRoundTrip"] = 9
-		budget["BenchmarkGetPipelined32"] = 8
+		budget["BenchmarkWindowGet/32"] = 8
+		budget["BenchmarkWindowGet/256"] = 8
 	}
 	/^Benchmark/ {
 		name = $1; sub(/-[0-9]+$/, "", name)

@@ -93,25 +93,38 @@ func FuzzPipelinedTornStream(f *testing.F) {
 }
 
 // countingConn counts flushed batches; it satisfies batchWriter so the
-// writeQueue hands it whole batches like it would a faultConn.
+// writeQueue hands it whole batches like it would a faultConn. frames counts
+// iovecs, which equals frames whenever no entry carries a zero-copy tail.
 type countingConn struct {
 	net.Conn
-	batches atomic.Int64
-	frames  atomic.Int64
+	batches   atomic.Int64
+	frames    atomic.Int64
+	maxFrames atomic.Int64 // largest batch, in iovecs
+	maxBytes  atomic.Int64 // largest batch, in bytes
 }
 
 func (c *countingConn) writeBatch(bufs net.Buffers) (int64, error) {
 	c.batches.Add(1)
 	c.frames.Add(int64(len(bufs)))
-	var total int64
+	var bytes int64
 	for _, b := range bufs {
-		n, err := c.Conn.Write(b)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
+		bytes += int64(len(b))
 	}
-	return total, nil
+	if n := int64(len(bufs)); n > c.maxFrames.Load() {
+		c.maxFrames.Store(n) // one flusher at a time: no lost update
+	}
+	if bytes > c.maxBytes.Load() {
+		c.maxBytes.Store(bytes)
+	}
+	return writeBuffers(c.Conn, bufs)
+}
+
+// okEntry is a minimal queue entry: one pooled msgOK frame, plus an optional
+// release hook.
+func okEntry(seq uint64, release func()) wqEntry {
+	buf := getBuf()
+	*buf = appendRequestFrame((*buf)[:0], msgOK, seq, frameSpec{})
+	return wqEntry{buf: buf, release: release}
 }
 
 // Corked entries must coalesce: N enqueueDeferred frames followed by one kick
@@ -136,9 +149,7 @@ func TestWriteQueueCorkedBatch(t *testing.T) {
 		got <- n
 	}()
 	for i := 0; i < frames; i++ {
-		buf := getBuf()
-		*buf = appendRequestFrame((*buf)[:0], msgOK, uint64(i), frameSpec{})
-		if err := q.enqueueDeferred(wqEntry{buf: buf}); err != nil {
+		if _, err := q.enqueueDeferred(okEntry(uint64(i), nil), 0); err != nil {
 			t.Fatalf("enqueueDeferred: %v", err)
 		}
 	}
@@ -171,13 +182,9 @@ func TestWriteQueueSeverReleasesEntries(t *testing.T) {
 	q := newWriteQueue(a, nil, nil)
 
 	var released atomic.Int64
-	entry := func() wqEntry {
-		buf := getBuf()
-		*buf = appendRequestFrame((*buf)[:0], msgOK, 1, frameSpec{})
-		return wqEntry{buf: buf, release: func() { released.Add(1) }}
-	}
+	entry := func() wqEntry { return okEntry(1, func() { released.Add(1) }) }
 	for i := 0; i < 3; i++ {
-		if err := q.enqueueDeferred(entry()); err != nil {
+		if _, err := q.enqueueDeferred(entry(), 0); err != nil {
 			t.Fatalf("enqueueDeferred: %v", err)
 		}
 	}
@@ -191,7 +198,7 @@ func TestWriteQueueSeverReleasesEntries(t *testing.T) {
 	if n := released.Load(); n != 4 {
 		t.Fatalf("rejected enqueue released %d entries total, want 4", n)
 	}
-	if err := q.enqueueDeferred(entry()); err == nil {
+	if _, err := q.enqueueDeferred(entry(), 0); err == nil {
 		t.Fatal("enqueueDeferred on severed queue succeeded")
 	}
 	if n := released.Load(); n != 5 {
@@ -199,22 +206,32 @@ func TestWriteQueueSeverReleasesEntries(t *testing.T) {
 	}
 }
 
-// A write failure mid-flush severs the queue: the batch and everything queued
-// behind it are released, and the connection is closed so the peer notices.
+// A write failure mid-flush severs the queue: the batch — corked entries
+// included — and everything queued behind it are released exactly once, and
+// the connection is closed so the peer notices.
 func TestWriteQueueFlushErrorSevers(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
 	q := newWriteQueue(a, nil, nil)
 	a.Close() // every write now fails
-	buf := getBuf()
-	*buf = appendRequestFrame((*buf)[:0], msgOK, 1, frameSpec{})
 	var released atomic.Int64
-	_ = q.enqueue(wqEntry{buf: buf, release: func() { released.Add(1) }})
-	if released.Load() != 1 {
-		t.Fatal("failed flush did not release the entry")
+	entry := func() wqEntry { return okEntry(1, func() { released.Add(1) }) }
+	for i := 0; i < 3; i++ {
+		if _, err := q.enqueueDeferred(entry(), 0); err != nil {
+			t.Fatalf("enqueueDeferred: %v", err)
+		}
+	}
+	_ = q.enqueue(entry())
+	if n := released.Load(); n != 4 {
+		t.Fatalf("failed flush released %d entries, want 4 (3 corked + 1)", n)
 	}
 	if err := q.enqueue(wqEntry{}); err == nil {
 		t.Fatal("queue not sticky-severed after flush failure")
+	}
+	q.sever(fmt.Errorf("late sever"))
+	q.kick()
+	if n := released.Load(); n != 4 {
+		t.Fatalf("entries released %d times in total, want 4", n)
 	}
 }
 
@@ -224,6 +241,11 @@ func TestWriteQueueFlushErrorSevers(t *testing.T) {
 // when the connection severs; a read must always return a value between the
 // last acknowledged and the last attempted write for that slot (a failed
 // write is in an unknown state — it may or may not have applied).
+//
+// Odd-numbered goroutines issue the same Put-then-Get as a corked Start*
+// window instead of two blocking calls, so corked frames meet the stalls and
+// resets too — flushed by their own first Wait or by whichever even-numbered
+// neighbour's blocking call gets there first — under the same invariant.
 //
 // The redial carries a bumped generation, as dist does. Without fencing the
 // invariant is not even true: a severed connection's unprocessed frames sit
@@ -300,18 +322,30 @@ func TestChaosFlusherHammer(t *testing.T) {
 				}
 				attempted++
 				binary.BigEndian.PutUint64(val[:], attempted)
-				if err := c.Put(seg, off, val[:]); err != nil {
-					if !IsTransient(err) {
-						t.Errorf("worker %d: non-transient Put error: %v", w, err)
+				var got []byte
+				var perr, gerr error
+				if w%2 == 0 {
+					if perr = c.Put(seg, off, val[:]); perr == nil {
+						got, gerr = c.Get(seg, off, 8)
+					}
+				} else {
+					// One window: the Get rides behind the Put in wire order.
+					// Both Pendings are always collected.
+					pp, pg := c.StartPut(seg, off, val[:]), c.StartGet(seg, off, 8)
+					_, perr = pp.Wait()
+					got, gerr = pg.Wait()
+				}
+				if perr != nil {
+					if !IsTransient(perr) {
+						t.Errorf("worker %d: non-transient Put error: %v", w, perr)
 						return
 					}
 					continue
 				}
 				acked = attempted
-				got, err := c.Get(seg, off, 8)
-				if err != nil {
-					if !IsTransient(err) {
-						t.Errorf("worker %d: non-transient Get error: %v", w, err)
+				if gerr != nil {
+					if !IsTransient(gerr) {
+						t.Errorf("worker %d: non-transient Get error: %v", w, gerr)
 						return
 					}
 					continue
@@ -326,6 +360,7 @@ func TestChaosFlusherHammer(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	t.Logf("injected %d resets, %d stalls", inj.Count(FaultReset), inj.Count(FaultStall))
 
 	// The node survives the storm: a clean client sees every slot.
 	clean, err := Dial(n.Addr())

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -118,26 +119,56 @@ func BenchmarkPutRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkGetPipelined32: 32 GETs in flight per window on one connection —
-// the shape dist's ReadMany drives. Reported per GET.
-func BenchmarkGetPipelined32(b *testing.B) {
+// BenchmarkWindowGet: a window of 32 or 256 GETs started, then collected, on
+// one connection — the shape dist's ReadMany drives (a 256-element batch over
+// two nodes is two windows of 128). The client corks the window, so each is
+// one request writev and one reply writev. Reported per GET.
+func BenchmarkWindowGet(b *testing.B) {
+	for _, depth := range []int{32, 256} {
+		b.Run(fmt.Sprint(depth), func(b *testing.B) {
+			_, c, seg := benchPair(b, false)
+			pend := make([]*Pending, depth)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += depth {
+				window := depth
+				if rem := b.N - i; rem < depth {
+					window = rem
+				}
+				for j := 0; j < window; j++ {
+					pend[j] = c.StartGet(seg, (j%64)*64, 64)
+				}
+				for j := 0; j < window; j++ {
+					if _, err := pend[j].Wait(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFlushAfterBurst: a single-frame round trip on a connection that
+// has carried a large window, as every serving connection has after its
+// preload. What the burst grew — both queues' iovec scratch above all — must
+// not tax later flushes: this should read the same as BenchmarkGetRoundTrip.
+func BenchmarkFlushAfterBurst(b *testing.B) {
 	_, c, seg := benchPair(b, false)
-	const depth = 32
-	pend := make([]*Pending, depth)
+	var v [8]byte
+	pend := make([]*Pending, 16384)
+	for i := range pend {
+		pend[i] = c.StartPut(seg, 0, v[:])
+	}
+	for _, p := range pend {
+		if _, err := p.Wait(); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i += depth {
-		window := depth
-		if rem := b.N - i; rem < depth {
-			window = rem
-		}
-		for j := 0; j < window; j++ {
-			pend[j] = c.StartGet(seg, (j%64)*64, 64)
-		}
-		for j := 0; j < window; j++ {
-			if _, err := pend[j].Wait(); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Get(seg, 0, 64); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -57,7 +57,9 @@ type ClientConfig struct {
 // and matched to responses by sequence number. Concurrent requests coalesce:
 // frames are appended to a per-connection write queue whose combining
 // flusher puts N pending frames on the wire with one scatter/gather writev,
-// so callers never serialize behind each other's syscalls.
+// so callers never serialize behind each other's syscalls. A single caller's
+// Start* window coalesces the same way: its frames are corked in the queue
+// until the first Wait (see Pending).
 type Client struct {
 	conn net.Conn
 	cfg  ClientConfig
@@ -163,8 +165,11 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// Close tears the connection down; in-flight requests fail. Close is
-// idempotent: every call returns the first call's result.
+// Close tears the connection down; in-flight requests fail, including
+// Start*ed ones whose frames were still corked: the read loop's failAll
+// delivers each registered Pending its one result and severs the write queue,
+// which releases the unsent frames. Close is idempotent: every call returns
+// the first call's result.
 func (c *Client) Close() error {
 	c.closeOnce.Do(func() {
 		c.closeRes = c.conn.Close()
@@ -239,25 +244,40 @@ func (c *Client) failAll(err error) {
 
 // Pending is one in-flight pipelined request issued by StartGet/StartPut/
 // StartAM. Wait must be called exactly once; Pendings are not reusable.
+//
+// Delivery rule: Start* corks the frame in the client's write queue rather
+// than flushing it, so a window of N Start*s costs one writev. A started
+// frame is on the wire no later than the first Wait on ANY Pending of that
+// client that finds its result missing, or the moment the corked bytes reach
+// corkHighWater, whichever comes first; a concurrent caller's blocking
+// Get/Put/AM flushes it earlier. A caller that Start*s and never Waits may
+// therefore never send. The deadlines of one corked window share one clock
+// reading, taken when its first frame was corked. Whatever happens to the
+// connection — including Close before any flush — every Pending receives
+// exactly one result.
 type Pending struct {
 	c        *Client
 	seq      uint64
 	ch       chan result
 	deadline time.Time // zero = wait forever
 	typ      byte
+	corked   bool      // the frame may still be unsent: Wait must kick the queue
 	started  time.Time // zero when the call is unobserved
 	spanID   uint64    // trace span carried by the request (0 = untraced)
 }
 
 // start registers a request, encodes its frame, and hands it to the send
-// path. The returned Pending's channel is guaranteed to eventually receive
-// exactly one result: from the read loop, from failAll when the connection
-// dies, or directly here when the request cannot be sent at all.
-func (c *Client) start(typ byte, s frameSpec, timeout time.Duration) *Pending {
+// path: flushed at once for the blocking calls, corked for the Start* calls
+// (cork is ignored on the unbatched path, which has no queue). The returned
+// Pending's channel is guaranteed to eventually receive exactly one result:
+// from the read loop, from failAll when the connection dies, or directly here
+// when the request cannot be sent at all.
+func (c *Client) start(typ byte, s frameSpec, timeout time.Duration, cork bool) *Pending {
 	seq := c.nextSeq.Add(1)
 	ch := make(chan result, 1)
 	p := &Pending{c: c, seq: seq, ch: ch, typ: typ, spanID: s.tc.SpanID}
-	if timeout > 0 {
+	cork = cork && c.wq != nil
+	if timeout > 0 && !cork {
 		p.deadline = time.Now().Add(timeout)
 	}
 	if c.obs != nil && obs.On() {
@@ -280,7 +300,14 @@ func (c *Client) start(typ byte, s frameSpec, timeout time.Duration) *Pending {
 	}
 	buf := getBuf()
 	*buf = appendRequestFrame((*buf)[:0], typ, seq, s)
-	if err := c.wq.enqueue(wqEntry{buf: buf, deadline: p.deadline}); err != nil {
+	var err error
+	if cork {
+		p.corked = true
+		p.deadline, err = c.wq.enqueueDeferred(wqEntry{buf: buf}, timeout)
+	} else {
+		err = c.wq.enqueue(wqEntry{buf: buf, deadline: p.deadline})
+	}
+	if err != nil {
 		// The queue was already severed; fail this request now (unless the
 		// read loop beat us to it).
 		if _, ok := c.takePending(seq); ok {
@@ -321,7 +348,18 @@ func (c *Client) sendUnbatched(p *Pending, typ byte, s frameSpec, timeout time.D
 }
 
 // wait blocks until the response arrives or the request's deadline passes.
+// A result already delivered — the usual case for all but the first Wait of a
+// window — returns without touching the queue or a timer; otherwise a corked
+// frame is flushed before blocking.
 func (p *Pending) wait() ([]byte, error) {
+	select {
+	case r := <-p.ch:
+		return r.payload, r.err
+	default:
+	}
+	if p.corked {
+		p.c.wq.kick()
+	}
 	var deadline <-chan time.Time
 	var timer *time.Timer
 	if !p.deadline.IsZero() {
@@ -369,7 +407,7 @@ func (c *Client) call(typ byte, s frameSpec, timeout time.Duration) ([]byte, err
 }
 
 func (c *Client) callRaw(typ byte, s frameSpec, timeout time.Duration) ([]byte, error) {
-	p := c.start(typ, s, timeout)
+	p := c.start(typ, s, timeout, false)
 	return p.wait()
 }
 
@@ -397,21 +435,22 @@ func (c *Client) CallAM(handler uint16, payload []byte, timeout time.Duration) (
 }
 
 // StartGet issues a GET without waiting: bulk callers pipeline many requests
-// onto the connection (the write queue coalesces them into few syscalls) and
-// collect the responses with Wait.
+// onto the connection (the write queue corks them into one writev per
+// window — see Pending for when the frames go out) and collect the responses
+// with Wait.
 func (c *Client) StartGet(segment uint64, offset, length int) *Pending {
-	return c.start(msgGet, frameSpec{seg: segment, off: uint64(offset), length: uint32(length)}, c.cfg.CallTimeout)
+	return c.start(msgGet, frameSpec{seg: segment, off: uint64(offset), length: uint32(length)}, c.cfg.CallTimeout, true)
 }
 
 // StartPut issues a PUT without waiting. The data is copied into the frame
 // before StartPut returns, so the caller may reuse its buffer immediately.
 func (c *Client) StartPut(segment uint64, offset int, data []byte) *Pending {
-	return c.start(msgPut, frameSpec{seg: segment, off: uint64(offset), data: data}, c.cfg.CallTimeout)
+	return c.start(msgPut, frameSpec{seg: segment, off: uint64(offset), data: data}, c.cfg.CallTimeout, true)
 }
 
 // StartAM issues an active message without waiting.
 func (c *Client) StartAM(handler uint16, payload []byte) *Pending {
-	return c.start(msgAM, frameSpec{handler: handler, data: payload}, c.cfg.CallTimeout)
+	return c.start(msgAM, frameSpec{handler: handler, data: payload}, c.cfg.CallTimeout, true)
 }
 
 // Ctx variants carry a trace context on the wire (an extra 16-byte header
@@ -439,15 +478,15 @@ func (c *Client) CallAMCtx(handler uint16, payload []byte, timeout time.Duration
 
 // StartGetCtx is StartGet carrying a trace context.
 func (c *Client) StartGetCtx(segment uint64, offset, length int, tc TraceCtx) *Pending {
-	return c.start(msgGet, frameSpec{seg: segment, off: uint64(offset), length: uint32(length), tc: tc}, c.cfg.CallTimeout)
+	return c.start(msgGet, frameSpec{seg: segment, off: uint64(offset), length: uint32(length), tc: tc}, c.cfg.CallTimeout, true)
 }
 
 // StartPutCtx is StartPut carrying a trace context.
 func (c *Client) StartPutCtx(segment uint64, offset int, data []byte, tc TraceCtx) *Pending {
-	return c.start(msgPut, frameSpec{seg: segment, off: uint64(offset), data: data, tc: tc}, c.cfg.CallTimeout)
+	return c.start(msgPut, frameSpec{seg: segment, off: uint64(offset), data: data, tc: tc}, c.cfg.CallTimeout, true)
 }
 
 // StartAMCtx is StartAM carrying a trace context.
 func (c *Client) StartAMCtx(handler uint16, payload []byte, tc TraceCtx) *Pending {
-	return c.start(msgAM, frameSpec{handler: handler, data: payload, tc: tc}, c.cfg.CallTimeout)
+	return c.start(msgAM, frameSpec{handler: handler, data: payload, tc: tc}, c.cfg.CallTimeout, true)
 }

@@ -58,6 +58,10 @@ type NodeConfig struct {
 	DeferServe bool
 }
 
+// inlineReply is the largest response payload copied into the reply's pooled
+// header buffer; anything larger rides as a zero-copy tail iovec.
+const inlineReply = 64
+
 // defaultFrameTimeout is generous: a legitimate peer streams a frame in
 // microseconds; only a stalled or half-open connection takes longer.
 const defaultFrameTimeout = 30 * time.Second
@@ -366,10 +370,14 @@ func (n *Node) serveConn(conn net.Conn) {
 	}
 	// Responses ride a per-connection write queue mirroring the client's:
 	// replies from the inline loop and from concurrent AM goroutines coalesce
-	// into batched writev flushes. Response payloads travel as zero-copy
-	// tails — a GET reply's iovec points straight into the segment, an AM
-	// reply points at whatever the handler returned — so the only per-reply
-	// copy is the 13-byte frame header into a pooled buffer.
+	// into batched writev flushes. Response payloads above inlineReply bytes
+	// travel as zero-copy tails — a GET reply's iovec points straight into
+	// the segment, an AM reply points at whatever the handler returned — so
+	// the only per-reply copy is the 13-byte frame header into a pooled
+	// buffer. Smaller payloads (an element is 8 bytes) are appended to that
+	// header instead: copying a few bytes is cheaper than a second iovec per
+	// reply, and a copy taken at dispatch time is no more torn than an alias
+	// read at flush time.
 	var frames, bytes *obs.Histogram
 	if n.obs != nil {
 		frames, bytes = n.obs.flushFrames, n.obs.flushBytes
@@ -386,8 +394,10 @@ func (n *Node) serveConn(conn net.Conn) {
 		buf := getBuf()
 		*buf = frameHeader((*buf)[:0], typ, seq, len(resp))
 		var tail []byte
-		if len(resp) > 0 {
+		if len(resp) > inlineReply {
 			tail = resp
+		} else {
+			*buf = append(*buf, resp...)
 		}
 		return wqEntry{buf: buf, tail: tail, release: release}
 	}
@@ -442,7 +452,7 @@ func (n *Node) serveConn(conn net.Conn) {
 				ident, gen = i, g
 			}
 			putBuf(body)
-			_ = wq.enqueueDeferred(makeEntry(seq, nil, herr, nil))
+			_, _ = wq.enqueueDeferred(makeEntry(seq, nil, herr, nil), 0)
 		case msgGet, msgPut:
 			var t0 int64
 			traced := tc.SpanID != 0 && n.obs != nil && obs.On()
@@ -457,7 +467,7 @@ func (n *Node) serveConn(conn net.Conn) {
 				n.obs.dataSpan(ring, typ, t0, tc.SpanID)
 			}
 			putBuf(body)
-			_ = wq.enqueueDeferred(makeEntry(seq, resp, herr, nil))
+			_, _ = wq.enqueueDeferred(makeEntry(seq, resp, herr, nil), 0)
 		default:
 			reqs.Add(1)
 			go func(typ byte, seq uint64, payload []byte, body *[]byte, tc TraceCtx) {

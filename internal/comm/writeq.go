@@ -18,11 +18,17 @@ import (
 // enqueues, returns, and waits on its own response channel with its own
 // deadline.
 //
+// A single caller coalesces too: frames appended with enqueueDeferred are
+// corked — they sit in the queue until something flushes it (kick, a
+// blocking caller's enqueue, or the corked bytes reaching corkHighWater), so
+// a caller's pipelined Start* window and the node's replies to it are one
+// writev each instead of one per frame.
+//
 // Frame memory is pooled: callers encode into bufPool scratch buffers that
 // the flusher recycles once the batch is on the wire (or has failed). An
 // entry may also carry a zero-copy tail — a payload slice referenced
-// directly, never copied into the frame buffer; the node's GET responses use
-// this to point straight into the segment.
+// directly, never copied into the frame buffer; the node's larger GET
+// responses use this to point straight into the segment.
 
 // bufPool recycles frame scratch buffers across calls and connections. The
 // pool stores *[]byte (not []byte) so Put does not allocate a slice header.
@@ -36,6 +42,18 @@ var bufPool = sync.Pool{
 // maxPooledBuf bounds what returns to the pool: a rare huge frame (workload
 // AMs, multi-megabyte PUTs) must not pin its allocation forever.
 const maxPooledBuf = 1 << 18
+
+// corkHighWater bounds how many corked bytes wait for a flush: the enqueue
+// that reaches it flushes. It matches the peer's 64 KiB buffered reader, so a
+// window of any length (a 16K-element preload) streams in reader-sized
+// batches and the queue's memory stays bounded.
+const corkHighWater = 64 << 10
+
+// maxRetainedEntries bounds the capacity the queue's reusable slices (pend,
+// spare, and the iovec scratch) keep between flushes. A burst may grow them
+// past it; they are then dropped instead of retained for the life of the
+// connection.
+const maxRetainedEntries = 2048
 
 func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
 
@@ -92,10 +110,16 @@ type writeQueue struct {
 	frames *obs.Histogram
 	bytes  *obs.Histogram
 
-	mu       sync.Mutex
-	pend     []wqEntry // frames waiting for the flusher
-	spare    []wqEntry // double buffer: the flusher's drained slice, reused
-	scratch  net.Buffers
+	mu      sync.Mutex
+	pend    []wqEntry // frames waiting for the flusher
+	spare   []wqEntry // double buffer: the flusher's drained slice, reused
+	scratch net.Buffers
+	// corked counts the bytes appended by enqueueDeferred since the flusher
+	// last took the queue; corkedAt is the clock reading taken when the first
+	// of them arrived (zero while nothing is corked), which every frame of
+	// the window shares as the base of its deadline.
+	corked   int
+	corkedAt time.Time
 	flushing bool  // a combining flusher is active
 	err      error // sticky: the queue is severed
 }
@@ -130,22 +154,42 @@ func (q *writeQueue) enqueue(e wqEntry) error {
 	return nil
 }
 
-// enqueueDeferred appends a frame without starting a flush. The caller must
-// guarantee a later kick() (or enqueue()) before it blocks: the node's serve
-// loop corks replies this way while more pipelined requests are already
-// sitting in its read buffer, so a burst of N requests produces one writev of
-// N replies instead of N single-frame flushes.
-func (q *writeQueue) enqueueDeferred(e wqEntry) error {
+// enqueueDeferred appends a frame without starting a flush, unless the corked
+// bytes have reached corkHighWater. The caller must guarantee a later kick()
+// (or enqueue()) before it blocks on the frame's effect: the node's serve loop
+// corks replies this way while more pipelined requests are already sitting in
+// its read buffer, and the client corks a caller's Start* window until its
+// first Wait, so a burst of N frames produces one writev instead of N
+// single-frame flushes.
+//
+// With timeout > 0 the frame's deadline — stored in the entry and returned —
+// is timeout past the moment the current cork window opened: one clock
+// reading per window instead of one per frame.
+func (q *writeQueue) enqueueDeferred(e wqEntry, timeout time.Duration) (time.Time, error) {
 	q.mu.Lock()
 	if q.err != nil {
 		err := q.err
 		q.mu.Unlock()
 		releaseEntry(&e)
-		return err
+		return time.Time{}, err
+	}
+	if timeout > 0 {
+		if q.corkedAt.IsZero() {
+			q.corkedAt = time.Now()
+		}
+		e.deadline = q.corkedAt.Add(timeout)
 	}
 	q.pend = append(q.pend, e)
+	q.corked += len(*e.buf) + len(e.tail)
+	flush := q.corked >= corkHighWater && !q.flushing
+	if flush {
+		q.flushing = true
+	}
 	q.mu.Unlock()
-	return nil
+	if flush {
+		q.flushLoop()
+	}
+	return e.deadline, nil
 }
 
 // kick starts a flusher for deferred frames if none is active.
@@ -173,6 +217,7 @@ func (q *writeQueue) flushLoop() {
 		batch := q.pend
 		q.pend = q.spare[:0]
 		q.spare = nil
+		q.corked, q.corkedAt = 0, time.Time{}
 		q.mu.Unlock()
 
 		err := q.writeBatch(batch)
@@ -181,7 +226,9 @@ func (q *writeQueue) flushLoop() {
 		}
 
 		q.mu.Lock()
-		q.spare = batch[:0]
+		if cap(batch) <= maxRetainedEntries {
+			q.spare = batch[:0]
+		}
 		if err != nil {
 			// A failed or partial batch poisons the stream framing: sever
 			// the connection so the owner redials. In-flight requests fail
@@ -240,13 +287,17 @@ func (q *writeQueue) writeBatch(batch []wqEntry) error {
 	} else {
 		_, err = writeBuffers(q.conn, bufs)
 	}
-	// WriteTo consumes bufs in place; drop the buffer references either way
-	// so the pooled arrays are not pinned by stale slices.
-	bufs = bufs[:cap(bufs)]
-	for i := range bufs {
-		bufs[i] = nil
+	// The writers got a copy of the slice header and consume the elements in
+	// place, so bufs still spans exactly the slots this batch filled: drop
+	// those references so the pooled arrays are not pinned by stale slices.
+	// Clearing the whole capacity instead would make every later single-frame
+	// flush pay for the largest burst the connection ever saw.
+	clear(bufs)
+	if cap(bufs) <= maxRetainedEntries {
+		q.scratch = bufs[:0]
+	} else {
+		q.scratch = nil
 	}
-	q.scratch = bufs[:0]
 	return err
 }
 

@@ -9,10 +9,11 @@ import (
 )
 
 // Bulk element access: ReadMany/WriteMany group operations by owning node and
-// pipeline each group onto its connection with the comm Start*/Wait API, so a
-// storm of element ops coalesces into a handful of batched writev flushes
-// instead of one locked write syscall per element. Grow's block-allocation
-// fan-out rides the same queues (driver.go).
+// pipeline each group onto its connection with the comm Start*/Wait API. The
+// client corks a group's Start*s until the first Wait, so a (batch, node)
+// pair costs one request writev and one reply writev (more only past comm's
+// cork high-water mark) instead of one write syscall per element. Grow's
+// block-allocation fan-out rides the same queues (driver.go).
 
 // growAllocFanout bounds how many block allocations a Grow keeps in flight:
 // enough to fill every node's write queue, small enough that an unreachable
@@ -136,9 +137,11 @@ func (d *Driver) readBatch(node int, ts []bulkTarget, out []int64, tc comm.Trace
 	}
 	for i, t := range ts {
 		var b []byte
-		err := fmt.Errorf("dist: node %d unreachable", node)
+		var err error
 		if pend[i] != nil {
 			b, err = pend[i].Wait()
+		} else {
+			err = fmt.Errorf("dist: node %d unreachable", node)
 		}
 		if err != nil {
 			if !comm.IsTransient(err) {
@@ -169,9 +172,11 @@ func (d *Driver) writeBatch(node int, ts []bulkTarget, vals []int64, tc comm.Tra
 		}
 	}
 	for i, t := range ts {
-		err := fmt.Errorf("dist: node %d unreachable", node)
+		var err error
 		if pend[i] != nil {
 			_, err = pend[i].Wait()
+		} else {
+			err = fmt.Errorf("dist: node %d unreachable", node)
 		}
 		if err != nil {
 			if !comm.IsTransient(err) {
