@@ -33,42 +33,19 @@ import (
 
 func main() {
 	var (
-		experiment      = flag.String("experiment", "all", "fig2a|fig2b|fig2c|fig2d|fig3|fig4|rw|zipf|latency|readscale|obs|install|serve|recover|all")
-		localesArg      = flag.String("locales", "1,2,4,8", "comma-separated locale counts to sweep")
-		tasks           = flag.Int("tasks", 4, "tasks per locale (paper: 44)")
-		ops             = flag.Int("ops", 1<<15, "ops per task for the large runs (paper: 1M)")
-		smallOps        = flag.Int("small-ops", 1024, "ops per task for fig2a/fig2b (paper: 1024)")
-		resizes         = flag.Int("resizes", 128, "number of resizes for fig3 (paper: 1024)")
-		increment       = flag.Int("increment", 1024, "elements per resize for fig3 (paper: 1024)")
-		blockSize       = flag.Int("block", 1024, "RCUArray block size in elements")
-		capacity        = flag.Int("capacity", 1<<16, "array capacity for indexing runs")
-		latency         = flag.Duration("latency", 500*time.Nanosecond, "one-way remote op latency")
-		seed            = flag.Uint64("seed", 0xC0DE, "workload seed")
-		reps            = flag.Int("reps", 3, "repetitions per point (best kept)")
-		csv             = flag.Bool("csv", false, "emit CSV instead of tables")
-		readTasks       = flag.String("read-tasks", "1,2,4,8", "comma-separated tasks-per-locale sweep for readscale")
-		pinBudget       = flag.Int("pin-budget", 0, "pinned-session op budget for readscale (0 = default)")
-		out             = flag.String("out", "", "write readscale/obs results as JSON to this file (in addition to the table)")
-		maxOverhead     = flag.Float64("max-overhead", 0, "obs: exit nonzero if enabled overhead exceeds this percentage (0 = no gate)")
-		installP99Max   = flag.Uint64("install-p99-max", 0, "install: exit nonzero if install p99 exceeds this many ns, and gate tree-vs-flat sync scaling (0 = no gate)")
-		installBaseline = flag.Uint64("install-baseline", 0, "install: prior monolithic-install p99 in ns, embedded in the artifact for comparison")
-		serveNodes      = flag.Int("serve-nodes", 3, "serve: dist cluster size")
-		serveKeys       = flag.Int("serve-keys", 1<<20, "serve: element count grown and preloaded")
-		serveQPS        = flag.Int("serve-qps", 20000, "serve: open-loop arrival rate")
-		serveDuration   = flag.Duration("serve-duration", 3*time.Second, "serve: arrival-generation window")
-		serveReadPct    = flag.Int("serve-read-pct", 90, "serve: read share of the mix, 0..100")
-		serveCallers    = flag.Int("serve-callers", 8, "serve: concurrent callers per connection in the comm A/B")
-		serveWorkers    = flag.Int("serve-workers", 64, "serve: open-loop dispatcher pool size")
-		serveReps       = flag.Int("serve-reps", 0, "serve: open-loop rep count, best read-tail rep kept (0 = same as -reps)")
-		serveMinSpeedup = flag.Float64("serve-min-speedup", 0, "serve: exit nonzero if the batched path's GET or PUT speedup over unbatched is below this (0 = no gate)")
-		serveP99Max     = flag.Duration("serve-p99-max", 0, "serve: exit nonzero if open-loop read p99 exceeds this, or achieved QPS falls below 90% of target (0 = no gate)")
-		serveMaxBurn    = flag.Float64("serve-max-burn", 0, "serve: exit nonzero if the rolling-window read SLO burn rate (threshold -serve-p99-max, 1% budget) exceeds this (0 = no gate)")
-		recoverNodes    = flag.Int("recover-nodes", 3, "recover: dist cluster size")
-		recoverBlocks   = flag.Int("recover-blocks", 12, "recover: array size in blocks")
-		recoverWriters  = flag.Int("recover-writers", 4, "recover: concurrent driver-side writers")
-		recoverOps      = flag.Int("recover-ops", 25000, "recover: acked writes per writer per rep")
-		recoverPause    = flag.Duration("recover-snap-pause", 100*time.Millisecond, "recover: idle time between full snapshot sweeps")
-		recoverMaxDip   = flag.Float64("recover-max-dip", 0, "recover: exit nonzero if snapshotting dips writer throughput by more than this percentage (0 = no gate)")
+		experiment = flag.String("experiment", "all", "fig2a|fig2b|fig2c|fig2d|fig3|fig4|rw|zipf|latency|all")
+		localesArg = flag.String("locales", "1,2,4,8", "comma-separated locale counts to sweep")
+		tasks      = flag.Int("tasks", 4, "tasks per locale (paper: 44)")
+		ops        = flag.Int("ops", 1<<15, "ops per task for the large runs (paper: 1M)")
+		smallOps   = flag.Int("small-ops", 1024, "ops per task for fig2a/fig2b (paper: 1024)")
+		resizes    = flag.Int("resizes", 128, "number of resizes for fig3 (paper: 1024)")
+		increment  = flag.Int("increment", 1024, "elements per resize for fig3 (paper: 1024)")
+		blockSize  = flag.Int("block", 1024, "RCUArray block size in elements")
+		capacity   = flag.Int("capacity", 1<<16, "array capacity for indexing runs")
+		latency    = flag.Duration("latency", 500*time.Nanosecond, "one-way remote op latency")
+		seed       = flag.Uint64("seed", 0xC0DE, "workload seed")
+		reps       = flag.Int("reps", 3, "repetitions per point (best kept)")
+		csv        = flag.Bool("csv", false, "emit CSV instead of tables")
 	)
 	flag.Parse()
 
@@ -173,252 +150,6 @@ func main() {
 		fmt.Println()
 	}
 
-	// The readscale experiment (the amortized-read-path A/B of the EBR
-	// rebuild) has its own result shape and an optional JSON artifact.
-	runReadScale := func() {
-		res := harness.RunReadScaling(harness.ReadScalingConfig{
-			Locales:       locales[len(locales)-1],
-			TaskCounts:    mustParseLocales(*readTasks),
-			OpsPerTask:    *ops,
-			Capacity:      *capacity,
-			BlockSize:     *blockSize,
-			Pattern:       workload.Sequential,
-			PinBudget:     *pinBudget,
-			RemoteLatency: *latency,
-			Seed:          *seed,
-			Repetitions:   *reps,
-		})
-		res.Format(os.Stdout)
-		fmt.Println()
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rcubench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			if err := res.EncodeJSON(f); err != nil {
-				fmt.Fprintln(os.Stderr, "rcubench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *out)
-		}
-	}
-
-	// The obs experiment is the observability A/B: identical read storms
-	// with the global enable switch off then on, the enabled run's metric
-	// snapshot embedded in the JSON artifact, and an optional CI gate on
-	// the measured overhead.
-	runObs := func() {
-		res := harness.RunObsOverhead(harness.ObsOverheadConfig{
-			Locales:        locales[len(locales)-1],
-			TasksPerLocale: *tasks,
-			OpsPerTask:     *ops,
-			Capacity:       *capacity,
-			BlockSize:      *blockSize,
-			Pattern:        workload.Sequential,
-			Seed:           *seed,
-			Repetitions:    *reps,
-		})
-		res.Format(os.Stdout)
-		fmt.Println()
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rcubench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			if err := res.EncodeJSON(f); err != nil {
-				fmt.Fprintln(os.Stderr, "rcubench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *out)
-		}
-		if *maxOverhead > 0 && res.OverheadPct > *maxOverhead {
-			fmt.Fprintf(os.Stderr, "rcubench: observability overhead %.2f%% exceeds budget %.2f%%\n",
-				res.OverheadPct, *maxOverhead)
-			os.Exit(1)
-		}
-	}
-
-	// The install experiment is the PR 6 acceptance run: incremental
-	// per-region install latency (gated against the PR 5 monolithic-install
-	// p99) plus the tree-vs-flat Synchronize scaling sweep.
-	runInstall := func() {
-		res := harness.RunInstallBench(harness.InstallBenchConfig{
-			Locales:        locales[len(locales)-1],
-			TasksPerLocale: *tasks,
-			BlockSize:      *blockSize,
-			SyncLocales:    locales,
-			Seed:           *seed,
-			Repetitions:    *reps,
-		})
-		res.BaselineP99Nanos = *installBaseline
-		res.Format(os.Stdout)
-		fmt.Println()
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rcubench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			if err := res.EncodeJSON(f); err != nil {
-				fmt.Fprintln(os.Stderr, "rcubench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *out)
-		}
-		if *installP99Max > 0 {
-			failed := false
-			if res.InstallP99Nanos > *installP99Max {
-				fmt.Fprintf(os.Stderr, "rcubench: install p99 %dns exceeds gate %dns\n",
-					res.InstallP99Nanos, *installP99Max)
-				failed = true
-			}
-			for _, pt := range res.SyncScale {
-				switch {
-				case pt.Locales >= 4 && pt.TreeNsPerGrow >= pt.FlatNsPerGrow:
-					fmt.Fprintf(os.Stderr, "rcubench: tree sync not faster than flat at %d locales (%.0fns vs %.0fns per resize)\n",
-						pt.Locales, pt.TreeNsPerGrow, pt.FlatNsPerGrow)
-					failed = true
-				case pt.Locales == 1 && pt.TreeNsPerGrow > pt.FlatNsPerGrow*1.10+1000:
-					// "No slower" at one locale, with a 10% + 1µs allowance:
-					// a one-locale rendezvous is tens of nanoseconds, below
-					// the timer's own jitter.
-					fmt.Fprintf(os.Stderr, "rcubench: tree sync slower than flat at 1 locale (%.0fns vs %.0fns per resize)\n",
-						pt.TreeNsPerGrow, pt.FlatNsPerGrow)
-					failed = true
-				}
-			}
-			if failed {
-				os.Exit(1)
-			}
-		}
-	}
-
-	// The serve experiment is the PR 7 acceptance run: the comm fast-path A/B
-	// (batched vs unbatched GET/PUT throughput at >= 8 callers) plus the
-	// open-loop serving harness with its achieved-QPS and read-p99 gates.
-	runServe := func() {
-		res, err := harness.RunServeBench(harness.ServeBenchConfig{
-			Callers:     *serveCallers,
-			Nodes:       *serveNodes,
-			Keys:        *serveKeys,
-			BlockSize:   *blockSize,
-			TargetQPS:   *serveQPS,
-			Duration:    *serveDuration,
-			ReadPct:     *serveReadPct,
-			Workers:     *serveWorkers,
-			Seed:        *seed,
-			Repetitions: *reps,
-			ServeReps:   *serveReps,
-			SLONanos:    serveP99Max.Nanoseconds(),
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rcubench:", err)
-			os.Exit(1)
-		}
-		res.Format(os.Stdout)
-		fmt.Println()
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rcubench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			if err := res.EncodeJSON(f); err != nil {
-				fmt.Fprintln(os.Stderr, "rcubench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *out)
-		}
-		failed := false
-		if res.ValueMismatches > 0 || res.OpErrors > 0 {
-			fmt.Fprintf(os.Stderr, "rcubench: serve correctness: %d errors, %d value mismatches\n",
-				res.OpErrors, res.ValueMismatches)
-			failed = true
-		}
-		if *serveMinSpeedup > 0 {
-			if res.GetSpeedup < *serveMinSpeedup {
-				fmt.Fprintf(os.Stderr, "rcubench: batched GET speedup %.2fx below gate %.2fx\n",
-					res.GetSpeedup, *serveMinSpeedup)
-				failed = true
-			}
-			if res.PutSpeedup < *serveMinSpeedup {
-				fmt.Fprintf(os.Stderr, "rcubench: batched PUT speedup %.2fx below gate %.2fx\n",
-					res.PutSpeedup, *serveMinSpeedup)
-				failed = true
-			}
-		}
-		if *serveMaxBurn > 0 && res.ReadBurnRate > *serveMaxBurn {
-			fmt.Fprintf(os.Stderr, "rcubench: read SLO burn rate %.3f exceeds gate %.3f (SLO %s, budget %.1f%%)\n",
-				res.ReadBurnRate, *serveMaxBurn, time.Duration(res.BurnSLONanos), res.BurnBudget*100)
-			failed = true
-		}
-		if *serveP99Max > 0 {
-			if res.ReadP99Nanos > uint64(serveP99Max.Nanoseconds()) {
-				fmt.Fprintf(os.Stderr, "rcubench: open-loop read p99 %s exceeds SLO %s\n",
-					time.Duration(res.ReadP99Nanos), *serveP99Max)
-				failed = true
-			}
-			if res.AchievedFrac < 0.9 {
-				fmt.Fprintf(os.Stderr, "rcubench: achieved %.0f QPS is %.1f%% of the %d target\n",
-					res.AchievedQPS, res.AchievedFrac*100, res.TargetQPS)
-				failed = true
-			}
-		}
-		if failed {
-			os.Exit(1)
-		}
-	}
-
-	// The recover experiment is the PR 8 acceptance run: the snapshot-under-
-	// load A/B (writer throughput with every node continuously snapshotting
-	// vs. without, gated on the dip) plus one timed kill-restart-rejoin.
-	runRecover := func() {
-		res, err := harness.RunRecoverBench(harness.RecoverBenchConfig{
-			Nodes:         *recoverNodes,
-			BlockSize:     *blockSize,
-			Blocks:        *recoverBlocks,
-			Writers:       *recoverWriters,
-			OpsPerWriter:  *recoverOps,
-			SnapshotPause: *recoverPause,
-			Seed:          *seed,
-			Repetitions:   *reps,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rcubench:", err)
-			os.Exit(1)
-		}
-		res.MaxDipPct = *recoverMaxDip
-		if res.MaxDipPct > 0 && res.DipPct > res.MaxDipPct {
-			res.Pass = false
-		}
-		res.Format(os.Stdout)
-		fmt.Println()
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rcubench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			if err := res.EncodeJSON(f); err != nil {
-				fmt.Fprintln(os.Stderr, "rcubench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *out)
-		}
-		if !res.Pass {
-			fmt.Fprintf(os.Stderr, "rcubench: snapshot-under-load dip %.2f%% exceeds gate %.1f%%\n",
-				res.DipPct, res.MaxDipPct)
-			os.Exit(1)
-		}
-	}
-
 	order := []string{"fig2a", "fig2b", "fig2c", "fig2d", "fig3", "fig4", "rw", "zipf"}
 	var toRun []string
 	switch {
@@ -427,24 +158,9 @@ func main() {
 	case *experiment == "latency":
 		runLatency()
 		return
-	case *experiment == "readscale":
-		runReadScale()
-		return
-	case *experiment == "obs":
-		runObs()
-		return
-	case *experiment == "install":
-		runInstall()
-		return
-	case *experiment == "serve":
-		runServe()
-		return
-	case *experiment == "recover":
-		runRecover()
-		return
 	default:
 		if _, ok := experiments[*experiment]; !ok {
-			fmt.Fprintf(os.Stderr, "rcubench: unknown experiment %q (want one of %s, latency, readscale, obs, install, serve, recover, all)\n",
+			fmt.Fprintf(os.Stderr, "rcubench: unknown experiment %q (want one of %s, latency, all)\n",
 				*experiment, strings.Join(order, ", "))
 			os.Exit(2)
 		}
@@ -465,15 +181,6 @@ func main() {
 	if *experiment == "all" {
 		runLatency()
 	}
-}
-
-func mustParseLocales(s string) []int {
-	out, err := parseLocales(s)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rcubench:", err)
-		os.Exit(2)
-	}
-	return out
 }
 
 func parseLocales(s string) ([]int, error) {

@@ -8,34 +8,84 @@ import (
 	"time"
 )
 
-// Allocation-regression benchmarks for the comm fast path. ci.sh's serve tier
-// runs these with -benchmem and gates on pinned allocs/op budgets: frame
-// encode must stay zero-alloc, pooled decode must not regress to a
-// per-frame allocation, and a deadline-bearing round trip must not recreate
-// its timer per call (time.NewTimer is 3 allocs on its own — the pooled
-// timer keeps it off the per-op path).
-
-// BenchmarkFrameEncode: one GET request frame into a reused scratch buffer.
-// Budget: 0 allocs/op.
-func BenchmarkFrameEncode(b *testing.B) {
-	var buf []byte
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = appendRequestFrame(buf[:0], msgGet, uint64(i), frameSpec{seg: 7, off: 4096, length: 64})
-	}
-	_ = buf
+// Allocation-regression bodies for the comm fast path. Each hotPath entry is
+// timed by its Benchmark* function and counted by TestAllocBudgets, which pins
+// allocs/op in tier-1: frame encode must stay zero-alloc, pooled decode must
+// not regress to a per-frame allocation, and a deadline-bearing round trip
+// must not recreate its timer per call (time.NewTimer is 3 allocs on its own —
+// the pooled timer keeps it off the per-op path).
+type hotPath struct {
+	name   string
+	budget float64 // allocs per op, client and node together
+	// setup returns the body and how many ops one call of it performs (a
+	// window's depth; 1 otherwise).
+	setup func(tb testing.TB) (body func(), ops int)
 }
 
-// BenchmarkFrameEncodePut: a PUT frame with a 64-byte payload, reused buffer.
-// Budget: 0 allocs/op.
-func BenchmarkFrameEncodePut(b *testing.B) {
-	var buf []byte
-	data := bytes.Repeat([]byte{0xAB}, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = appendRequestFrame(buf[:0], msgPut, uint64(i), frameSpec{seg: 7, off: 4096, data: data})
+var hotPaths = []hotPath{
+	{"FrameEncode", 0, frameEncode},
+	{"FrameEncodePut", 0, frameEncodePut},
+	// The 4-byte prefix buffer escapes into the io.ReadFull interface call;
+	// the frame body itself comes from and returns to the pool.
+	{"FrameDecodePooled", 1, frameDecodePooled},
+	// The whole client+node round trip: frame encode, pooled decode,
+	// zero-copy reply, pooled wait timer.
+	{"GetRoundTrip", 9, getRoundTrip},
+	{"PutRoundTrip", 9, putRoundTrip},
+	{"WindowGet/32", 8, windowGet(32)},
+	{"WindowGet/256", 8, windowGet(256)},
+}
+
+// TestAllocBudgets fails when a hot-path body allocates more per op than its
+// pinned budget. Counts are deterministic where timings on a shared host are
+// not, so this is the gate that catches a per-call time.NewTimer or a frame
+// body that stopped coming from the pool.
+func TestAllocBudgets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are not meaningful under the race detector's -short tier")
 	}
-	_ = buf
+	const iterations = 10000
+	for _, h := range hotPaths {
+		t.Run(h.name, func(t *testing.T) {
+			body, ops := h.setup(t)
+			got := testing.AllocsPerRun(iterations/ops, body) / float64(ops)
+			if got > h.budget {
+				t.Errorf("%.2f allocs/op exceeds budget %v", got, h.budget)
+			}
+		})
+	}
+}
+
+// benchBody times one hot-path body; a windowed body rounds b.N up to whole
+// windows.
+func benchBody(b *testing.B, setup func(testing.TB) (func(), int)) {
+	body, ops := setup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += ops {
+		body()
+	}
+}
+
+// frameEncode: one GET request frame into a reused scratch buffer.
+func frameEncode(testing.TB) (func(), int) {
+	var buf []byte
+	var seq uint64
+	return func() {
+		seq++
+		buf = appendRequestFrame(buf[:0], msgGet, seq, frameSpec{seg: 7, off: 4096, length: 64})
+	}, 1
+}
+
+// frameEncodePut: a PUT frame with a 64-byte payload, reused buffer.
+func frameEncodePut(testing.TB) (func(), int) {
+	var buf []byte
+	var seq uint64
+	data := bytes.Repeat([]byte{0xAB}, 64)
+	return func() {
+		seq++
+		buf = appendRequestFrame(buf[:0], msgPut, seq, frameSpec{seg: 7, off: 4096, data: data})
+	}, 1
 }
 
 // loopReader replays one frame's bytes forever without allocating.
@@ -53,98 +103,94 @@ func (r *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// BenchmarkFrameDecodePooled: the node's pooled decode of a PUT frame.
-// Budget: 1 alloc/op — the 4-byte prefix buffer escapes into the io.ReadFull
-// interface call; the frame body itself comes from and returns to the pool.
-func BenchmarkFrameDecodePooled(b *testing.B) {
+// frameDecodePooled: the node's pooled decode of a PUT frame.
+func frameDecodePooled(tb testing.TB) (func(), int) {
 	frameBytes := appendRequestFrame(nil, msgPut, 42, frameSpec{seg: 7, off: 64, data: bytes.Repeat([]byte{1}, 64)})
 	r := &loopReader{data: frameBytes}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		var lenBuf [4]byte
 		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		_, _, _, body, err := readFrameBodyPooled(r, lenBuf)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		putBuf(body)
-	}
+	}, 1
 }
 
-func benchPair(b *testing.B, unbatched bool) (*Node, *Client, uint64) {
-	b.Helper()
-	n, err := NewNodeConfig("127.0.0.1:0", NodeConfig{Unbatched: unbatched})
+func benchPair(tb testing.TB) (*Node, *Client, uint64) {
+	tb.Helper()
+	n, err := NewNode("127.0.0.1:0")
 	if err != nil {
-		b.Fatalf("NewNode: %v", err)
+		tb.Fatalf("NewNode: %v", err)
 	}
-	b.Cleanup(func() { n.Close() })
+	tb.Cleanup(func() { n.Close() })
 	// CallTimeout is set so every round trip runs the deadline arm — the
-	// pooled-timer path this benchmark exists to keep honest.
-	c, err := DialConfig(n.Addr(), ClientConfig{CallTimeout: 30 * time.Second, Unbatched: unbatched})
+	// pooled-timer path these bodies exist to keep honest.
+	c, err := DialConfig(n.Addr(), ClientConfig{CallTimeout: 30 * time.Second})
 	if err != nil {
-		b.Fatalf("Dial: %v", err)
+		tb.Fatalf("Dial: %v", err)
 	}
-	b.Cleanup(func() { c.Close() })
+	tb.Cleanup(func() { c.Close() })
 	return n, c, n.AllocSegment(4096)
 }
 
-// BenchmarkGetRoundTrip: one synchronous 64-byte GET over loopback, batched
-// path, call deadline armed. The allocs/op budget (ci.sh serve) holds the
-// whole client+node round trip — frame encode, pooled decode, zero-copy
-// reply, pooled wait timer — to a fixed allocation count.
-func BenchmarkGetRoundTrip(b *testing.B) {
-	_, c, seg := benchPair(b, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// getRoundTrip: one synchronous 64-byte GET over loopback, call deadline
+// armed.
+func getRoundTrip(tb testing.TB) (func(), int) {
+	_, c, seg := benchPair(tb)
+	return func() {
 		if _, err := c.Get(seg, 0, 64); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-	}
+	}, 1
 }
 
-// BenchmarkPutRoundTrip: one synchronous 64-byte PUT over loopback, batched
-// path, call deadline armed.
-func BenchmarkPutRoundTrip(b *testing.B) {
-	_, c, seg := benchPair(b, false)
+// putRoundTrip: one synchronous 64-byte PUT over loopback, call deadline
+// armed.
+func putRoundTrip(tb testing.TB) (func(), int) {
+	_, c, seg := benchPair(tb)
 	data := bytes.Repeat([]byte{0xCD}, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		if err := c.Put(seg, 0, data); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-	}
+	}, 1
 }
 
-// BenchmarkWindowGet: a window of 32 or 256 GETs started, then collected, on
-// one connection — the shape dist's ReadMany drives (a 256-element batch over
-// two nodes is two windows of 128). The client corks the window, so each is
-// one request writev and one reply writev. Reported per GET.
-func BenchmarkWindowGet(b *testing.B) {
-	for _, depth := range []int{32, 256} {
-		b.Run(fmt.Sprint(depth), func(b *testing.B) {
-			_, c, seg := benchPair(b, false)
-			pend := make([]*Pending, depth)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += depth {
-				window := depth
-				if rem := b.N - i; rem < depth {
-					window = rem
-				}
-				for j := 0; j < window; j++ {
-					pend[j] = c.StartGet(seg, (j%64)*64, 64)
-				}
-				for j := 0; j < window; j++ {
-					if _, err := pend[j].Wait(); err != nil {
-						b.Fatal(err)
-					}
+// windowGet: a window of depth GETs started, then collected, on one
+// connection — the shape dist's ReadMany drives (a 256-element batch over two
+// nodes is two windows of 128). The client corks the window, so each is one
+// request writev and one reply writev.
+func windowGet(depth int) func(testing.TB) (func(), int) {
+	return func(tb testing.TB) (func(), int) {
+		_, c, seg := benchPair(tb)
+		pend := make([]*Pending, depth)
+		return func() {
+			for j := range pend {
+				pend[j] = c.StartGet(seg, (j%64)*64, 64)
+			}
+			for _, p := range pend {
+				if _, err := p.Wait(); err != nil {
+					tb.Fatal(err)
 				}
 			}
-		})
+		}, depth
+	}
+}
+
+func BenchmarkFrameEncode(b *testing.B)       { benchBody(b, frameEncode) }
+func BenchmarkFrameEncodePut(b *testing.B)    { benchBody(b, frameEncodePut) }
+func BenchmarkFrameDecodePooled(b *testing.B) { benchBody(b, frameDecodePooled) }
+func BenchmarkGetRoundTrip(b *testing.B)      { benchBody(b, getRoundTrip) }
+func BenchmarkPutRoundTrip(b *testing.B)      { benchBody(b, putRoundTrip) }
+
+// BenchmarkWindowGet reports per GET.
+func BenchmarkWindowGet(b *testing.B) {
+	for _, depth := range []int{32, 256} {
+		b.Run(fmt.Sprint(depth), func(b *testing.B) { benchBody(b, windowGet(depth)) })
 	}
 }
 
@@ -153,7 +199,7 @@ func BenchmarkWindowGet(b *testing.B) {
 // preload. What the burst grew — both queues' iovec scratch above all — must
 // not tax later flushes: this should read the same as BenchmarkGetRoundTrip.
 func BenchmarkFlushAfterBurst(b *testing.B) {
-	_, c, seg := benchPair(b, false)
+	_, c, seg := benchPair(b)
 	var v [8]byte
 	pend := make([]*Pending, 16384)
 	for i := range pend {
@@ -164,19 +210,6 @@ func BenchmarkFlushAfterBurst(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Get(seg, 0, 64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGetRoundTripUnbatched: the legacy locked-Write path, for the A/B
-// delta in benchmark output (not gated — it is the baseline, not the product).
-func BenchmarkGetRoundTripUnbatched(b *testing.B) {
-	_, c, seg := benchPair(b, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -36,11 +35,6 @@ type ClientConfig struct {
 	// land after writes acknowledged on its replacement.
 	Identity   uint64
 	Generation uint64
-	// Unbatched selects the pre-coalescing send path: one locked
-	// conn.Write per call instead of the batched flusher. It exists as the
-	// A/B baseline for the serve benchmarks and as an escape hatch; the
-	// default (false) is the fast path.
-	Unbatched bool
 	// Obs, when set, records per-(op,peer) call latency histograms and
 	// timeout/error counters into the registry, labeled with Peer. Calls
 	// pay one branch when observability is globally off.
@@ -65,12 +59,7 @@ type Client struct {
 	cfg  ClientConfig
 	obs  *clientObs // nil without ClientConfig.Obs
 
-	wq *writeQueue // nil in Unbatched mode
-
-	// Unbatched-mode send path (ClientConfig.Unbatched): the PR 3
-	// one-write-per-call behaviour, kept as the serve benchmark baseline.
-	sendMu  sync.Mutex
-	sendBuf []byte
+	wq *writeQueue
 
 	nextSeq atomic.Uint64
 
@@ -138,13 +127,11 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.Obs != nil {
 		c.obs = newClientObs(cfg.Obs, cfg.Peer, cfg.TraceTrack)
 	}
-	if !cfg.Unbatched {
-		var frames, bytes *obs.Histogram
-		if c.obs != nil {
-			frames, bytes = c.obs.flushFrames, c.obs.flushBytes
-		}
-		c.wq = newWriteQueue(conn, frames, bytes)
+	var frames, bytes *obs.Histogram
+	if c.obs != nil {
+		frames, bytes = c.obs.flushFrames, c.obs.flushBytes
 	}
+	c.wq = newWriteQueue(conn, frames, bytes)
 	go c.readLoop()
 	if cfg.Identity != 0 {
 		// Register for write fencing before the caller can issue any
@@ -189,13 +176,9 @@ func (c *Client) Broken() bool {
 
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
-	// On the batched path, pipelined responses arrive back-to-back: a
-	// buffered reader turns a burst of replies into one read syscall. The
-	// unbatched baseline keeps the raw conn (two reads per frame).
-	var r io.Reader = c.conn
-	if c.wq != nil {
-		r = bufio.NewReaderSize(c.conn, 64<<10)
-	}
+	// Pipelined responses arrive back-to-back: a buffered reader turns a
+	// burst of replies into one read syscall.
+	r := bufio.NewReaderSize(c.conn, 64<<10)
 	for {
 		typ, seq, payload, err := readFrame(r)
 		if err != nil {
@@ -237,9 +220,7 @@ func (c *Client) failAll(err error) {
 	c.closed = true
 	c.closeErr = err
 	c.pendingMu.Unlock()
-	if c.wq != nil {
-		c.wq.sever(err)
-	}
+	c.wq.sever(err)
 }
 
 // Pending is one in-flight pipelined request issued by StartGet/StartPut/
@@ -267,16 +248,14 @@ type Pending struct {
 }
 
 // start registers a request, encodes its frame, and hands it to the send
-// path: flushed at once for the blocking calls, corked for the Start* calls
-// (cork is ignored on the unbatched path, which has no queue). The returned
-// Pending's channel is guaranteed to eventually receive exactly one result:
-// from the read loop, from failAll when the connection dies, or directly here
-// when the request cannot be sent at all.
+// path: flushed at once for the blocking calls, corked for the Start* calls.
+// The returned Pending's channel is guaranteed to eventually receive exactly
+// one result: from the read loop, from failAll when the connection dies, or
+// directly here when the request cannot be sent at all.
 func (c *Client) start(typ byte, s frameSpec, timeout time.Duration, cork bool) *Pending {
 	seq := c.nextSeq.Add(1)
 	ch := make(chan result, 1)
 	p := &Pending{c: c, seq: seq, ch: ch, typ: typ, spanID: s.tc.SpanID}
-	cork = cork && c.wq != nil
 	if timeout > 0 && !cork {
 		p.deadline = time.Now().Add(timeout)
 	}
@@ -294,10 +273,6 @@ func (c *Client) start(typ byte, s frameSpec, timeout time.Duration, cork bool) 
 	c.pending[seq] = ch
 	c.pendingMu.Unlock()
 
-	if c.wq == nil {
-		c.sendUnbatched(p, typ, s, timeout)
-		return p
-	}
 	buf := getBuf()
 	*buf = appendRequestFrame((*buf)[:0], typ, seq, s)
 	var err error
@@ -315,36 +290,6 @@ func (c *Client) start(typ byte, s frameSpec, timeout time.Duration, cork bool) 
 		}
 	}
 	return p
-}
-
-// sendUnbatched is the pre-coalescing send path: serialize on sendMu, one
-// conn.Write per frame.
-func (c *Client) sendUnbatched(p *Pending, typ byte, s frameSpec, timeout time.Duration) {
-	c.sendMu.Lock()
-	// A write deadline derived from the call deadline keeps a peer that
-	// stopped reading (half-open, full socket buffers) from pinning sendMu —
-	// and with it every other call on this client — past the timeout. A
-	// failed deadline arm severs: silently disarming the timeout would
-	// reintroduce exactly that hang.
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	err := c.conn.SetWriteDeadline(deadline)
-	if err == nil {
-		c.sendBuf = appendRequestFrame(c.sendBuf[:0], typ, p.seq, s)
-		_, err = c.conn.Write(c.sendBuf)
-	}
-	c.sendMu.Unlock()
-	if err != nil {
-		// A failed write may have left a partial frame on the wire, which
-		// would poison the stream for every later call: sever the connection
-		// so the owner redials instead.
-		c.conn.Close()
-		if _, ok := c.takePending(p.seq); ok {
-			p.ch <- result{err: &netError{msg: fmt.Sprintf("comm: send: %v", err), wrapped: err}}
-		}
-	}
 }
 
 // wait blocks until the response arrives or the request's deadline passes.

@@ -47,10 +47,6 @@ type NodeConfig struct {
 	// Obs, when set, counts inbound requests per op and fenced Put
 	// rejections into the registry.
 	Obs *obs.Registry
-	// Unbatched selects the pre-coalescing response path: one locked
-	// conn.Write per reply instead of the batched flusher, with every frame
-	// body freshly allocated. The A/B baseline for the serve benchmarks.
-	Unbatched bool
 	// DeferServe binds the listener but does not accept connections until
 	// Serve is called. Crash recovery uses this window to restore segments
 	// and replay the WAL before any request can observe partial state, while
@@ -364,10 +360,6 @@ func (n *Node) serveConn(conn net.Conn) {
 		delete(n.conns, conn)
 		n.connMu.Unlock()
 	}()
-	if n.cfg.Unbatched {
-		n.serveConnUnbatched(conn)
-		return
-	}
 	// Responses ride a per-connection write queue mirroring the client's:
 	// replies from the inline loop and from concurrent AM goroutines coalesce
 	// into batched writev flushes. Response payloads above inlineReply bytes
@@ -462,7 +454,7 @@ func (n *Node) serveConn(conn net.Conn) {
 				}
 				t0 = n.obs.tr.Now()
 			}
-			resp, herr := n.dispatchData(typ, payload, ident, gen, true)
+			resp, herr := n.dispatchData(typ, payload, ident, gen)
 			if traced {
 				n.obs.dataSpan(ring, typ, t0, tc.SpanID)
 			}
@@ -481,72 +473,6 @@ func (n *Node) serveConn(conn net.Conn) {
 			// less than that cannot be a frame): flush the corked replies
 			// before the next read blocks.
 			wq.kick()
-		}
-	}
-}
-
-// serveConnUnbatched is the pre-coalescing serve loop (NodeConfig.Unbatched):
-// one locked conn.Write per reply, fresh allocation per frame body.
-func (n *Node) serveConnUnbatched(conn net.Conn) {
-	var sendMu sync.Mutex
-	var buf []byte
-	reply := func(typ byte, seq uint64, payload []byte) error {
-		sendMu.Lock()
-		defer sendMu.Unlock()
-		buf = frame(buf, typ, seq, payload)
-		_, err := conn.Write(buf)
-		return err
-	}
-	answer := func(seq uint64, resp []byte, herr error) {
-		if herr != nil {
-			_ = reply(msgError, seq, []byte(herr.Error()))
-			return
-		}
-		n.served.Add(1)
-		_ = reply(msgOK, seq, resp)
-	}
-	var ring *obs.Ring // data-plane span ring, created only if ever traced
-	var ident, gen uint64
-	var reqs sync.WaitGroup
-	defer reqs.Wait()
-	for {
-		typ, seq, payload, err := n.readFrameDeadline(conn)
-		if err != nil {
-			return // peer hung up, stalled past a deadline, or broke protocol
-		}
-		var tc TraceCtx
-		if typ, tc, payload, err = splitTrace(typ, payload); err != nil {
-			return // truncated trace header: broken protocol
-		}
-		n.obs.noteReq(typ)
-		switch typ {
-		case msgHello:
-			i, g, herr := n.registerHello(payload)
-			if herr == nil {
-				ident, gen = i, g
-			}
-			answer(seq, nil, herr)
-		case msgGet, msgPut:
-			var t0 int64
-			traced := tc.SpanID != 0 && n.obs != nil && obs.On()
-			if traced {
-				if ring == nil {
-					ring = n.obs.connRing(int(n.connSeq.Add(1)))
-				}
-				t0 = n.obs.tr.Now()
-			}
-			resp, herr := n.dispatchData(typ, payload, ident, gen, false)
-			if traced {
-				n.obs.dataSpan(ring, typ, t0, tc.SpanID)
-			}
-			answer(seq, resp, herr)
-		default:
-			reqs.Add(1)
-			go func(typ byte, seq uint64, payload []byte, tc TraceCtx) {
-				defer reqs.Done()
-				resp, herr := n.dispatch(typ, payload, tc)
-				answer(seq, resp, herr)
-			}(typ, seq, payload, tc)
 		}
 	}
 }
@@ -580,21 +506,18 @@ func (n *Node) registerHello(payload []byte) (ident, gen uint64, err error) {
 // acknowledged on the successor connection. Gets are idempotent and are not
 // fenced: a stale read returns to a caller that already gave up on it.
 //
-// With zeroCopy set (the batched path), a GET's reply slice references the
-// segment directly — no intermediate copy — and is sent as its own iovec in
-// the flushed batch. Bytes written concurrently may tear within the reply,
-// exactly as they already could between LocalWrite and LocalRead, both of
-// which hold only the segment-table read lock.
-func (n *Node) dispatchData(typ byte, payload []byte, ident, gen uint64, zeroCopy bool) ([]byte, error) {
+// A GET's reply slice references the segment directly — no intermediate
+// copy — and is sent as its own iovec in the flushed batch. Bytes written
+// concurrently may tear within the reply, exactly as they already could
+// between LocalWrite and LocalRead, both of which hold only the segment-table
+// read lock.
+func (n *Node) dispatchData(typ byte, payload []byte, ident, gen uint64) ([]byte, error) {
 	if typ == msgGet {
 		seg, off, length, err := decodeGet(payload)
 		if err != nil {
 			return nil, err
 		}
-		if zeroCopy {
-			return n.segSlice(seg, int(off), int(length))
-		}
-		return n.LocalRead(seg, int(off), int(length))
+		return n.segSlice(seg, int(off), int(length))
 	}
 	seg, off, data, err := decodePut(payload)
 	if err != nil {
@@ -613,28 +536,20 @@ func (n *Node) dispatchData(typ byte, payload []byte, ident, gen uint64, zeroCop
 	return nil, n.LocalWrite(seg, int(off), data)
 }
 
-// readFrameDeadline reads one frame with the node's per-connection read
+// readFrameDeadlinePooled reads one frame with the node's per-connection read
 // deadlines: the wait for a frame to *start* is bounded only by IdleTimeout
 // (usually unbounded — idle drivers are fine), but once the length prefix
 // arrives the remainder must land within FrameTimeout. A half-open peer that
 // sends a partial frame and goes silent is therefore reaped instead of
-// pinning this goroutine until process exit.
-// A failed deadline arm severs the connection (by returning the error to
-// serveConn): silently disarming the timeout would leave this goroutine
-// exposed to exactly the unbounded stall the deadline exists to prevent.
-func (n *Node) readFrameDeadline(conn net.Conn) (typ byte, seq uint64, payload []byte, err error) {
-	var lenBuf [4]byte
-	if lenBuf, err = n.readFramePrefix(conn, conn); err != nil {
-		return 0, 0, nil, err
-	}
-	return readFrameBody(conn, lenBuf)
-}
-
-// readFrameDeadlinePooled is readFrameDeadline for the batched path: frames
-// arrive through a buffered reader — one read syscall can deliver many
-// pipelined frames — while the deadlines are still armed on the underlying
-// conn, and the body lands in a pooled buffer (see readFrameBodyPooled for
-// the recycle contract).
+// pinning this goroutine until process exit. A failed deadline arm severs the
+// connection (by returning the error to serveConn): silently disarming the
+// timeout would leave this goroutine exposed to exactly the unbounded stall
+// the deadline exists to prevent.
+//
+// Frames arrive through a buffered reader — one read syscall can deliver many
+// pipelined frames — while the deadlines are armed on the underlying conn (a
+// deadline interrupts the buffered reader's underlying read), and the body
+// lands in a pooled buffer (see readFrameBodyPooled for the recycle contract).
 //
 // A deadline exists to interrupt a stalled *socket* read; bytes already in
 // the buffer cannot stall. So each arm is skipped when the buffer alone will
@@ -646,7 +561,7 @@ func (n *Node) readFrameDeadlinePooled(conn net.Conn, br *bufio.Reader) (typ byt
 	var lenBuf [4]byte
 	if br.Buffered() < 4 {
 		// The prefix read may block on the socket: bound the wait for the
-		// next frame only by IdleTimeout, like readFramePrefix.
+		// next frame only by IdleTimeout.
 		if n.cfg.IdleTimeout > 0 {
 			err = conn.SetReadDeadline(time.Now().Add(n.cfg.IdleTimeout))
 		} else {
@@ -667,31 +582,6 @@ func (n *Node) readFrameDeadlinePooled(conn net.Conn, br *bufio.Reader) (typ byt
 		}
 	}
 	return readFrameBodyPooled(br, lenBuf)
-}
-
-// readFramePrefix waits for a frame's 4-byte length prefix under the idle
-// deadline, then arms the frame deadline for the body. Deadlines go to conn,
-// bytes come from r (the same conn on the unbatched path, a buffered reader
-// over it on the batched one — a deadline interrupts the buffered reader's
-// underlying read exactly the same way).
-func (n *Node) readFramePrefix(conn net.Conn, r io.Reader) (lenBuf [4]byte, err error) {
-	if n.cfg.IdleTimeout > 0 {
-		err = conn.SetReadDeadline(time.Now().Add(n.cfg.IdleTimeout))
-	} else {
-		err = conn.SetReadDeadline(time.Time{})
-	}
-	if err != nil {
-		return lenBuf, fmt.Errorf("comm: arm read deadline: %w", err)
-	}
-	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
-		return lenBuf, err
-	}
-	if ft := n.cfg.frameTimeout(); ft > 0 {
-		if err = conn.SetReadDeadline(time.Now().Add(ft)); err != nil {
-			return lenBuf, fmt.Errorf("comm: arm read deadline: %w", err)
-		}
-	}
-	return lenBuf, nil
 }
 
 // dispatch serves the message types that run concurrently (active messages);

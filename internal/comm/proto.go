@@ -55,6 +55,8 @@ const maxFrame = 16 << 20
 const headerLen = 1 + 8 // type + seq
 
 // frame assembles a wire frame into buf (reused across calls) and returns it.
+// Only tests and the fuzz target call it: it is the reference encoding that
+// appendRequestFrame's output is compared against.
 func frame(buf []byte, typ byte, seq uint64, payload []byte) []byte {
 	total := headerLen + len(payload)
 	buf = append(buf[:0], 0, 0, 0, 0)
@@ -154,13 +156,6 @@ func readFrame(r io.Reader) (typ byte, seq uint64, payload []byte, err error) {
 	if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
 		return 0, 0, nil, err
 	}
-	return readFrameBody(r, lenBuf)
-}
-
-// readFrameBody reads the remainder of a frame whose length prefix has
-// already arrived (the node reads the prefix separately so it can arm a
-// fresh read deadline for the body).
-func readFrameBody(r io.Reader, lenBuf [4]byte) (typ byte, seq uint64, payload []byte, err error) {
 	total := binary.BigEndian.Uint32(lenBuf[:])
 	if total < headerLen || total > maxFrame {
 		return 0, 0, nil, fmt.Errorf("comm: invalid frame length %d", total)
@@ -172,7 +167,9 @@ func readFrameBody(r io.Reader, lenBuf [4]byte) (typ byte, seq uint64, payload [
 	return body[0], binary.BigEndian.Uint64(body[1:9]), body[9:], nil
 }
 
-// readFrameBodyPooled is readFrameBody into a pooled buffer: the returned
+// readFrameBodyPooled reads the remainder of a frame whose length prefix has
+// already arrived (the node reads the prefix separately so it can arm a
+// fresh read deadline for the body) into a pooled buffer: the returned
 // payload aliases *body, and the caller must putBuf(body) once the payload
 // is no longer referenced — after the handler has copied out and the
 // response (which may alias the payload) is on the wire.

@@ -49,10 +49,6 @@ type Options struct {
 	// Both nil outside chaos runs.
 	Faults *comm.Injector
 	Part   *comm.Partition
-	// UnbatchedComm selects the pre-coalescing comm path on every driver
-	// connection — one write syscall per call instead of the batched
-	// flusher. The A/B baseline arm of the serve benchmarks (false).
-	UnbatchedComm bool
 	// Obs, when set, receives the driver's retry/redial/transient-error
 	// counters, per-(op,peer) RPC latency histograms for its node
 	// connections, resize-phase histograms and trace spans, and — with
@@ -192,7 +188,6 @@ func (d *Driver) clientConfig(node int) comm.ClientConfig {
 		Part:        d.opts.Part,
 		Identity:    d.connIdent[node],
 		Generation:  d.connGen[node],
-		Unbatched:   d.opts.UnbatchedComm,
 		Obs:         d.opts.Obs,
 		Peer:        fmt.Sprintf("n%d", node),
 		TraceTrack:  node,

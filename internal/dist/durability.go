@@ -473,11 +473,13 @@ func (n *ArrayNode) Snapshot() (SnapshotInfo, error) {
 	// The cut: pin an epoch (EBR read section), read the published table,
 	// capture milestones, rotate the WAL so every milestone acknowledged
 	// after the cut lands in a file the cut's WALSeq points at.
+	var hook func(seg uint64)
 	table, cutState, newSeq, oldWAL, err := func() ([]BlockRef, replayState, uint64, *durable.Writer, error) {
 		g := n.dom.Enter()
 		defer g.Exit()
 		n.mu.Lock()
 		defer n.mu.Unlock()
+		hook = n.snapHook
 		snap := n.snap.Load()
 		snap.CheckLive()
 		seq := n.walSeq + 1
@@ -526,6 +528,9 @@ func (n *ArrayNode) Snapshot() (SnapshotInfo, error) {
 		sw.b = append(sw.b, data...)
 		payloads = append(payloads, sw.b)
 		blocks++
+		if hook != nil {
+			hook(ref.Seg)
+		}
 	}
 	var fw wbuf
 	fw.u8(recSnapFooter)

@@ -149,6 +149,122 @@ func TestDurableSnapshotRestartRecoversAckedWrites(t *testing.T) {
 	}
 }
 
+// Snapshot's contract is that only the cut holds the node mutex: segment
+// streaming runs beside writers and installs. Park a snapshot between two
+// segment copies and require a write and a read on that node, and a whole
+// Grow (its install takes the node mutex and appends to the rotated WAL), to
+// finish while it is still parked. Streaming under the mutex fails this test.
+func TestSnapshotStreamingDoesNotStallWritersOrInstalls(t *testing.T) {
+	const bs = 8
+	d, nodes, dirs := spawnDurableCluster(t, 2, bs, chaosOpts(14))
+	if err := d.Grow(bs * 4); err != nil {
+		t.Fatalf("Grow: %v", err)
+	}
+	table, err := d.NodeTable(0)
+	if err != nil {
+		t.Fatalf("NodeTable(0): %v", err)
+	}
+	written := map[int]int64{}
+	onNode1 := -1
+	for i := 0; i < d.Len(); i++ {
+		v := int64(i*17 + 3)
+		if err := d.Write(i, v); err != nil {
+			t.Fatalf("Write(%d): %v", i, err)
+		}
+		written[i] = v
+		if table[i/bs].Node == 1 {
+			onNode1 = i
+		}
+	}
+	if onNode1 < 0 {
+		t.Fatal("node 1 owns no block")
+	}
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	nodes[1].mu.Lock()
+	nodes[1].snapHook = func(uint64) {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+	}
+	nodes[1].mu.Unlock()
+	type snapResult struct {
+		info SnapshotInfo
+		err  error
+	}
+	snapDone := make(chan snapResult, 1)
+	go func() {
+		info, err := nodes[1].Snapshot()
+		snapDone <- snapResult{info, err}
+	}()
+	<-parked
+
+	beside := func() error {
+		if err := d.Write(onNode1, 99); err != nil {
+			return fmt.Errorf("Write(%d): %w", onNode1, err)
+		}
+		if v, err := d.Read(onNode1); err != nil || v != 99 {
+			return fmt.Errorf("Read(%d) = %d, %v; want 99", onNode1, v, err)
+		}
+		if err := d.Grow(bs * 2); err != nil {
+			return fmt.Errorf("Grow: %w", err)
+		}
+		return nil
+	}
+	besideDone := make(chan error, 1)
+	go func() { besideDone <- beside() }()
+	select {
+	case err := <-besideDone:
+		if err != nil {
+			t.Errorf("beside a parked snapshot: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("write, read and grow did not finish beside a parked snapshot")
+	}
+	select {
+	case r := <-snapDone:
+		t.Fatalf("snapshot finished while parked: %+v, %v", r.info, r.err)
+	default:
+	}
+	close(release)
+	if r := <-snapDone; r.err != nil {
+		t.Fatalf("Snapshot: %v", r.err)
+	} else if r.info.Blocks != 2 {
+		t.Fatalf("snapshot holds %d blocks, want the 2 of its cut", r.info.Blocks)
+	}
+	if t.Failed() {
+		return
+	}
+	grown := d.Len()
+	if grown != bs*6 {
+		t.Fatalf("Len = %d after the grow, want %d", grown, bs*6)
+	}
+
+	// The install acked after the cut lives in the WAL the cut rotated to:
+	// a restart from disk must replay it on top of the snapshot.
+	addr := nodes[1].Addr()
+	nodes[1].Close()
+	restartNode(t, addr, dirs[1])
+	delete(written, onNode1) // overwritten after the cut; the snapshot may hold either value
+	for idx, want := range written {
+		if got, err := d.Read(idx); err != nil || got != want {
+			t.Fatalf("Read(%d) after restart = %d, %v; want %d", idx, got, err, want)
+		}
+	}
+	got, err := d.NodeTable(1)
+	if err != nil {
+		t.Fatalf("NodeTable(1): %v", err)
+	}
+	if len(got)*bs != grown {
+		t.Fatalf("restarted node serves %d elements, want the grown %d", len(got)*bs, grown)
+	}
+	if _, err := d.Read(grown - 1); err != nil {
+		t.Fatalf("Read(%d) in the grown region after restart: %v", grown-1, err)
+	}
+}
+
 // A single-node cluster isolates WAL replay: there is no peer to catch up
 // from, so the post-snapshot resizes the node sees after restart can only
 // come from its log. Also exercises the fencing-token reseed — node 0 is the

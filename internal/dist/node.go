@@ -74,6 +74,12 @@ type ArrayNode struct {
 	// harnesses use to pause, kill, or read mid-install. Test-only.
 	installHook func(step, total int)
 
+	// snapHook, when set, runs after each segment copy of a Snapshot with
+	// neither the node's mutex nor the segment lock held — the window the
+	// durability tests use to park a snapshot mid-stream and prove writers
+	// and installs proceed beside it. Test-only.
+	snapHook func(seg uint64)
+
 	// abortedFence/abortedEpoch tombstone the highest (fence, epoch) pair an
 	// abort has been processed for — including aborts that were no-ops here
 	// because the install never landed. A straggler or duplicate install

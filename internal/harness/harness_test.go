@@ -3,6 +3,7 @@ package harness
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"rcuarray/internal/locale"
 	"rcuarray/internal/workload"
@@ -186,5 +187,153 @@ func TestResultRatio(t *testing.T) {
 	}
 	if got := res.Ratio("B", "A", 2); got != 0 {
 		t.Fatalf("Ratio at missing x = %v, want 0", got)
+	}
+}
+
+func TestRunLatencyUnderResize(t *testing.T) {
+	res := RunLatencyUnderResize(LatencyConfig{
+		Kinds:          []Kind{KindQSBR, KindSync},
+		Locales:        2,
+		TasksPerLocale: 2,
+		OpsPerTask:     2048,
+		Capacity:       1024,
+		BlockSize:      128,
+		SampleEvery:    8,
+		GrowEvery:      time.Millisecond,
+		Seed:           5,
+	})
+	if len(res.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	}
+	for _, row := range res.Rows {
+		// 2 locales x 2 tasks x 2048 ops, one sample in 8.
+		if len(row.Samples) != 2*2*2048/8 {
+			t.Fatalf("%v: %d latency samples, want %d", row.Kind, len(row.Samples), 2*2*2048/8)
+		}
+		p50, p99, max := row.Quantile(0.50), row.Quantile(0.99), row.Quantile(1)
+		if p50 > p99 || p99 > max || max != time.Duration(row.Samples[len(row.Samples)-1]) {
+			t.Fatalf("%v: p50 %v, p99 %v, max %v are not ordered exact samples", row.Kind, p50, p99, max)
+		}
+		if row.Resizes == 0 {
+			t.Fatalf("%v: grower made no progress", row.Kind)
+		}
+		if row.OpsPerSec <= 0 {
+			t.Fatalf("%v: no throughput", row.Kind)
+		}
+	}
+	var sb strings.Builder
+	res.Format(&sb)
+	if !strings.Contains(sb.String(), "p99") || !strings.Contains(sb.String(), "QSBRArray") {
+		t.Fatalf("Format output missing columns:\n%s", sb.String())
+	}
+}
+
+// Quantile is exact nearest rank over the sorted samples, not a bucket edge.
+func TestLatencyRowQuantile(t *testing.T) {
+	if q := (LatencyRow{}).Quantile(0.5); q != 0 {
+		t.Fatalf("empty row p50 = %v, want 0", q)
+	}
+	row := LatencyRow{Samples: make([]int64, 100)}
+	for i := range row.Samples {
+		row.Samples[i] = int64(i+1) * 10
+	}
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{{0.001, 10}, {0.50, 500}, {0.90, 900}, {0.99, 990}, {0.999, 1000}, {1, 1000}} {
+		if got := row.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+}
+
+func TestLatencyExcludesChapel(t *testing.T) {
+	res := RunLatencyUnderResize(LatencyConfig{
+		Kinds:          []Kind{KindChapel, KindEBR},
+		Locales:        1,
+		TasksPerLocale: 1,
+		OpsPerTask:     256,
+		Capacity:       256,
+		BlockSize:      64,
+		GrowEvery:      time.Millisecond,
+	})
+	if len(res.Rows) != 1 || res.Rows[0].Kind != KindEBR {
+		t.Fatalf("ChapelArray not excluded: %+v", res.Rows)
+	}
+}
+
+func TestKindEBRFlat(t *testing.T) {
+	parsed, err := ParseKind("EBRArray-flat")
+	if err != nil || parsed != KindEBRFlat {
+		t.Fatalf("ParseKind(EBRArray-flat) = %v, %v", parsed, err)
+	}
+	if KindEBRFlat.IsQSBR() {
+		t.Fatal("EBRArray-flat misclassified as QSBR")
+	}
+	c := locale.NewCluster(locale.Config{Locales: 2, WorkersPerLocale: 2})
+	defer c.Shutdown()
+	c.Run(func(task *locale.Task) {
+		tgt := BuildTarget(task, KindEBRFlat, 8, 16)
+		if got := tgt.Name(); got != "EBRArray-flat" {
+			t.Errorf("Name = %q, want EBRArray-flat", got)
+		}
+		tgt.Store(task, 5, 42)
+		if got := tgt.Load(task, 5); got != 42 {
+			t.Errorf("round trip = %d", got)
+		}
+		tgt.Grow(task, 8)
+		if got := tgt.Len(task); got != 24 {
+			t.Errorf("Len after Grow = %d, want 24", got)
+		}
+	})
+}
+
+// Every kind serves a read session: core kinds a pinned one with a live
+// cache, baselines the per-op fallback with zero cache stats.
+func TestOpenReadSessionAllKinds(t *testing.T) {
+	c := locale.NewCluster(locale.Config{Locales: 1, WorkersPerLocale: 2})
+	defer c.Shutdown()
+	c.Run(func(task *locale.Task) {
+		for _, k := range []Kind{KindEBR, KindQSBR, KindEBRFlat, KindChapel, KindSync, KindRW} {
+			tgt := BuildTarget(task, k, 8, 32)
+			tgt.Store(task, 9, 77)
+			sess := OpenReadSession(tgt, task)
+			for i := 0; i < 4; i++ {
+				if got := sess.Load(9); got != 77 {
+					t.Errorf("%v session Load = %d, want 77", k, got)
+				}
+			}
+			hits, misses := sess.CacheStats()
+			switch k {
+			case KindEBR, KindQSBR, KindEBRFlat:
+				if hits != 3 || misses != 1 {
+					t.Errorf("%v cache stats = %d/%d, want 3 hits / 1 miss", k, hits, misses)
+				}
+			default:
+				if hits != 0 || misses != 0 {
+					t.Errorf("%v fallback session reported cache stats %d/%d", k, hits, misses)
+				}
+			}
+			sess.Close()
+			// Core sessions released their pin: a resize must proceed.
+			tgt.Grow(task, 8)
+		}
+	})
+}
+
+func TestRunIndexingPinnedAccess(t *testing.T) {
+	cfg := tinyIndexing(workload.Sequential)
+	cfg.Kinds = []Kind{KindEBR, KindEBRFlat, KindQSBR}
+	cfg.Access = AccessLoadPinned
+	res := RunIndexing(cfg)
+	if len(res.Series) != 3 {
+		t.Fatalf("series = %d, want 3", len(res.Series))
+	}
+	for _, s := range res.Series {
+		for _, p := range s.Points {
+			if p.OpsPerSec <= 0 {
+				t.Fatalf("%s at %d locales: %.1f ops/s", s.Label, p.X, p.OpsPerSec)
+			}
+		}
 	}
 }

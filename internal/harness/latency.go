@@ -3,6 +3,8 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,9 +66,20 @@ func (c LatencyConfig) withDefaults() LatencyConfig {
 // concurrent resize storm.
 type LatencyRow struct {
 	Kind      Kind
-	Hist      Histogram
+	Samples   []int64 // every sampled read's latency in ns, ascending
 	Resizes   int
 	OpsPerSec float64
+}
+
+// Quantile returns the exact q-quantile (0 < q <= 1) of the sampled
+// latencies by the nearest-rank method; 0 with no samples.
+func (r LatencyRow) Quantile(q float64) time.Duration {
+	n := len(r.Samples)
+	if n == 0 {
+		return 0
+	}
+	rank := min(max(int(math.Ceil(q*float64(n)-1e-9)), 1), n)
+	return time.Duration(r.Samples[rank-1])
 }
 
 // LatencyResult holds one run of the tail-latency experiment.
@@ -83,9 +96,9 @@ func (r LatencyResult) Format(w io.Writer) {
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-12s %10v %10v %10v %10v %10v %9d\n",
 			row.Kind,
-			row.Hist.Quantile(0.50), row.Hist.Quantile(0.90),
-			row.Hist.Quantile(0.99), row.Hist.Quantile(0.999),
-			row.Hist.Max(), row.Resizes)
+			row.Quantile(0.50), row.Quantile(0.90),
+			row.Quantile(0.99), row.Quantile(0.999),
+			row.Quantile(1), row.Resizes)
 	}
 	fmt.Fprintln(w, "(read latency while a concurrent writer resizes continuously)")
 }
@@ -146,13 +159,13 @@ func runLatencyOnce(cfg LatencyConfig, k Kind) LatencyRow {
 			sub.ForAllTasks(cfg.TasksPerLocale, func(tt *locale.Task, id int) {
 				seed := cfg.Seed ^ uint64(tt.Here().ID())<<32 ^ uint64(id)
 				stream := workload.NewIndexStream(workload.Random, seed, cfg.Capacity)
-				var h Histogram
+				samples := make([]int64, 0, (cfg.OpsPerTask+cfg.SampleEvery-1)/cfg.SampleEvery)
 				for op := 0; op < cfg.OpsPerTask; op++ {
 					idx := stream.Next()
 					if op%cfg.SampleEvery == 0 {
 						t0 := time.Now()
 						_ = tgt.Load(tt, idx)
-						h.Record(time.Since(t0))
+						samples = append(samples, int64(time.Since(t0)))
 					} else {
 						_ = tgt.Load(tt, idx)
 					}
@@ -161,7 +174,7 @@ func runLatencyOnce(cfg LatencyConfig, k Kind) LatencyRow {
 					}
 				}
 				mu.Lock()
-				row.Hist.Merge(&h)
+				row.Samples = append(row.Samples, samples...)
 				totalOps += cfg.OpsPerTask
 				mu.Unlock()
 			})
@@ -169,6 +182,7 @@ func runLatencyOnce(cfg LatencyConfig, k Kind) LatencyRow {
 		close(done)
 		<-growerDone
 		row.OpsPerSec = float64(totalOps) / time.Since(start).Seconds()
+		slices.Sort(row.Samples)
 	})
 	return row
 }

@@ -89,7 +89,7 @@ func (h *Histogram) reset() {
 }
 
 // HistSnap is a point-in-time view of a histogram: totals plus quantiles
-// estimated at bucket upper bounds (pessimistic, like harness.Histogram).
+// estimated at bucket upper bounds (pessimistic: up to 2x the exact value).
 type HistSnap struct {
 	Count    uint64 `json:"count"`
 	SumNanos uint64 `json:"sum_ns"`
@@ -119,8 +119,7 @@ func (h *Histogram) Snap() HistSnap {
 }
 
 // quantile returns the upper bound of the bucket containing rank q*n. An
-// upper bound is reported so the estimate errs pessimistic, matching the
-// harness histogram convention.
+// upper bound is reported so the estimate errs pessimistic.
 func quantile(b *[histBuckets]uint64, n uint64, q float64) uint64 {
 	if n == 0 {
 		return 0

@@ -11,7 +11,7 @@ import "sync"
 // single early outlier: the window forgets.
 //
 // The window is sample-based, not timer-based: the owner calls Tick
-// periodically (the serving harness ticks every few hundred ms); each Tick
+// periodically (every few hundred ms suits a ~2 s window); each Tick
 // snapshots the histogram's cumulative (count, over-SLO count) pair and the
 // window covers the last slots ticks. Reads between Ticks see the last
 // completed window. All methods are safe for concurrent use; Tick callers
