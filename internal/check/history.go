@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -67,12 +66,6 @@ type History struct {
 // Add appends an op. Histories are built by a single goroutine (the
 // driver's generator loop); concurrent recorders must merge afterwards.
 func (h *History) Add(op Op) { h.Ops = append(h.Ops, op) }
-
-// SortByCall orders ops by call timestamp, normalizing histories merged
-// from per-task recorders.
-func (h *History) SortByCall() {
-	sort.SliceStable(h.Ops, func(i, j int) bool { return h.Ops[i].Call < h.Ops[j].Call })
-}
 
 const historyMagic = "rcuarray-lincheck v1"
 

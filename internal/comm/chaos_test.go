@@ -273,7 +273,7 @@ func TestChaosStaleGenerationWriteFenced(t *testing.T) {
 	if !errors.As(err, &rerr) || IsTransient(err) {
 		t.Fatalf("fenced Put should be a definitive remote rejection, got %v", err)
 	}
-	got, err := n.LocalRead(seg, 0, 8)
+	got, err := n.Segment(seg)
 	if err != nil || binary.BigEndian.Uint64(got) != 2 {
 		t.Fatalf("acked write clobbered: segment = %v, %v", got, err)
 	}

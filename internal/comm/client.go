@@ -223,8 +223,8 @@ func (c *Client) failAll(err error) {
 	c.wq.sever(err)
 }
 
-// Pending is one in-flight pipelined request issued by StartGet/StartPut/
-// StartAM. Wait must be called exactly once; Pendings are not reusable.
+// Pending is one in-flight pipelined request issued by StartGet/StartPut.
+// Wait must be called exactly once; Pendings are not reusable.
 //
 // Delivery rule: Start* corks the frame in the client's write queue rather
 // than flushing it, so a window of N Start*s costs one writev. A started
@@ -393,11 +393,6 @@ func (c *Client) StartPut(segment uint64, offset int, data []byte) *Pending {
 	return c.start(msgPut, frameSpec{seg: segment, off: uint64(offset), data: data}, c.cfg.CallTimeout, true)
 }
 
-// StartAM issues an active message without waiting.
-func (c *Client) StartAM(handler uint16, payload []byte) *Pending {
-	return c.start(msgAM, frameSpec{handler: handler, data: payload}, c.cfg.CallTimeout, true)
-}
-
 // Ctx variants carry a trace context on the wire (an extra 16-byte header
 // when tc is nonzero; byte-identical frames when it is zero, so callers can
 // pass a zero context unconditionally). The span id names the CLIENT side
@@ -429,9 +424,4 @@ func (c *Client) StartGetCtx(segment uint64, offset, length int, tc TraceCtx) *P
 // StartPutCtx is StartPut carrying a trace context.
 func (c *Client) StartPutCtx(segment uint64, offset int, data []byte, tc TraceCtx) *Pending {
 	return c.start(msgPut, frameSpec{seg: segment, off: uint64(offset), data: data, tc: tc}, c.cfg.CallTimeout, true)
-}
-
-// StartAMCtx is StartAM carrying a trace context.
-func (c *Client) StartAMCtx(handler uint16, payload []byte, tc TraceCtx) *Pending {
-	return c.start(msgAM, frameSpec{handler: handler, data: payload, tc: tc}, c.cfg.CallTimeout, true)
 }

@@ -21,7 +21,7 @@
 //     run across genuinely separate address spaces (examples/netarray) and
 //     to keep the in-process model honest about what must be serializable.
 //     Blocking calls (Get/Put/AM) send at once. Pipelined calls
-//     (StartGet/StartPut/StartAM) are corked: their frames are on the wire
+//     (StartGet/StartPut) are corked: their frames are on the wire
 //     no later than the first Pending.Wait on that client, or once 64 KiB
 //     have been corked — see Pending for the full delivery rule.
 package comm

@@ -245,23 +245,6 @@ func (n *Node) FreeSegment(id uint64) error {
 	return nil
 }
 
-// LocalRead copies from a segment without going over the wire (the owner's
-// fast path).
-func (n *Node) LocalRead(id uint64, off, length int) ([]byte, error) {
-	n.segMu.RLock()
-	defer n.segMu.RUnlock()
-	seg, ok := n.segments[id]
-	if !ok {
-		return nil, fmt.Errorf("comm: read of unknown segment %d", id)
-	}
-	if off < 0 || length < 0 || off+length > len(seg) {
-		return nil, fmt.Errorf("comm: read [%d,%d) out of segment bounds %d", off, off+length, len(seg))
-	}
-	out := make([]byte, length)
-	copy(out, seg[off:])
-	return out, nil
-}
-
 // Segment returns the live backing slice of a segment for the owner's fast
 // path (no copy). The caller must not retain the slice past FreeSegment and
 // must coordinate concurrent byte-level access itself, exactly as with any
@@ -509,8 +492,8 @@ func (n *Node) registerHello(payload []byte) (ident, gen uint64, err error) {
 // A GET's reply slice references the segment directly — no intermediate
 // copy — and is sent as its own iovec in the flushed batch. Bytes written
 // concurrently may tear within the reply, exactly as they already could
-// between LocalWrite and LocalRead, both of which hold only the segment-table
-// read lock.
+// through LocalWrite and the owner's Segment slice, neither of which holds
+// more than the segment-table read lock.
 func (n *Node) dispatchData(typ byte, payload []byte, ident, gen uint64) ([]byte, error) {
 	if typ == msgGet {
 		seg, off, length, err := decodeGet(payload)

@@ -87,9 +87,9 @@ func TestGetPutOverWire(t *testing.T) {
 		t.Fatalf("Get = %v", got)
 	}
 	// The owner's local view agrees.
-	local, err := n.LocalRead(seg, 4, 4)
-	if err != nil || !bytes.Equal(local, got) {
-		t.Fatalf("LocalRead = %v, %v", local, err)
+	local, err := n.Segment(seg)
+	if err != nil || !bytes.Equal(local[4:8], got) {
+		t.Fatalf("Segment = %v, %v", local, err)
 	}
 	if n.Served() < 2 {
 		t.Fatalf("Served = %d, want >= 2", n.Served())
@@ -213,9 +213,9 @@ func TestMultipleClients(t *testing.T) {
 	if err := c2.Put(seg, 0, []byte{42}); err != nil {
 		t.Fatalf("Put from second client: %v", err)
 	}
-	got, err := n.LocalRead(seg, 0, 1)
+	got, err := n.Segment(seg)
 	if err != nil || got[0] != 42 {
-		t.Fatalf("LocalRead = %v, %v", got, err)
+		t.Fatalf("Segment = %v, %v", got, err)
 	}
 }
 
@@ -264,10 +264,10 @@ func TestSegmentAccessor(t *testing.T) {
 	if err != nil || len(b) != 8 {
 		t.Fatalf("Segment = %d bytes, %v", len(b), err)
 	}
-	b[0] = 42 // live slice: visible through LocalRead
-	got, err := n.LocalRead(seg, 0, 1)
+	b[0] = 42 // live slice: visible through the next lookup
+	got, err := n.Segment(seg)
 	if err != nil || got[0] != 42 {
-		t.Fatalf("LocalRead after Segment write = %v, %v", got, err)
+		t.Fatalf("Segment after a write through Segment = %v, %v", got, err)
 	}
 	if _, err := n.Segment(9999); err == nil {
 		t.Fatal("unknown segment accepted")

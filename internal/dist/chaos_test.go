@@ -470,7 +470,7 @@ func TestChaosStragglerInstallAfterAbortRejected(t *testing.T) {
 	if ledger != 0 {
 		t.Fatalf("alloc ledger still holds %d entries after abort", ledger)
 	}
-	if _, err := nodes[0].srv.LocalRead(seg, 0, 1); err == nil {
+	if _, err := nodes[0].srv.Segment(seg); err == nil {
 		t.Fatal("aborted resize's segment still allocated")
 	}
 }

@@ -166,7 +166,7 @@ type snapHeader struct {
 	BlockSize uint32
 	WallNanos uint64
 	WALSeq    uint64
-	st        replayState // milestone fields only; table travels separately
+	st        resizeState // the table travels in its own record
 }
 
 func (h snapHeader) encode() []byte {
@@ -193,7 +193,7 @@ func decodeSnapHeader(p []byte) (snapHeader, error) {
 		return snapHeader{}, fmt.Errorf("dist: snapshot header kind %d", k)
 	}
 	h := snapHeader{NodeID: r.u32(), BlockSize: r.u32(), WallNanos: r.u64(), WALSeq: r.u64()}
-	h.st = replayState{
+	h.st = resizeState{
 		maxFence:        r.u64(),
 		appliedFence:    r.u64(),
 		appliedEpoch:    r.u64(),
@@ -249,102 +249,144 @@ func decodeNodeConf(p []byte) (nodeConf, error) {
 	return c, r.err
 }
 
-// replayState is the fencing/idempotency state machine of handleInstall and
-// handleAbort, lifted out of the live node so WAL replay runs the same
-// transitions against a crashed node's log: replay really is "more resizes".
-// The field names — and the ordering discipline on every write to them — are
-// the live node's, so the fencemono analyzer holds replay to the same rules.
-type replayState struct {
-	table           []BlockRef
-	maxFence        uint64
-	appliedFence    uint64
-	appliedEpoch    uint64
-	abortedFence    uint64
-	abortedEpoch    uint64
+// resizeState is a node's install/abort fencing and idempotency state: the
+// milestones every install and abort is judged against. Its one transition
+// function, next, is called by the live handlers and by WAL replay alike, so
+// replay really is "more resizes". The field names — and the ordering
+// discipline on every write to them — are what the fencemono analyzer checks.
+type resizeState struct {
+	maxFence     uint64 // highest fencing token seen
+	appliedFence uint64 // (fence, epoch) of the applied table
+	appliedEpoch uint64
+	// abortedFence/abortedEpoch tombstone the highest (fence, epoch) pair an
+	// abort has been processed for — including aborts that were no-ops here
+	// because the install never landed. A straggler or duplicate install
+	// carrying an aborted pair would otherwise pass the fence check (same
+	// token) and miss the idempotency check (the rollback moved appliedEpoch
+	// back), re-installing a table whose blocks the abort already freed.
+	abortedFence uint64
+	abortedEpoch uint64
+	// Incremental-install progress: which install is mid-flight and how many
+	// of its region steps have been published, so a retried install resumes
+	// instead of re-flipping, and an abort of a partly-applied install knows
+	// to roll back. regionMilestone only moves forward within one (fence,
+	// epoch) and resets when a different install or an abort takes over.
 	installFence    uint64
 	installEpoch    uint64
 	regionMilestone uint64
 }
 
-// apply folds one WAL record into the state. It returns false — stopping the
-// scan, exactly like a torn tail — on records that are internally
-// inconsistent (digest mismatch within one resize, unknown kind); stale or
-// duplicate records are skipped silently, mirroring the live handlers.
-func (st *replayState) apply(rec walRecord) bool {
-	switch rec.Kind {
-	case recWALInstall:
-		st.applyInstall(rec)
-		return true
-	case recWALAbort:
-		st.applyAbort(rec)
-		return true
-	default:
-		return false
-	}
-}
+// resizeVerdict is next's decision on one install or abort record.
+type resizeVerdict uint8
 
-func (st *replayState) applyInstall(rec walRecord) {
+const (
+	// Not logged: the record leaves the state unchanged.
+	vFenced     resizeVerdict = iota // stale token: a successor owns the table
+	vTombstoned                      // install of an aborted (fence, epoch)
+	vApplied                         // retried install, already applied in full
+	vStepDone                        // retried region step, already published
+	// Logged: the record is WAL-appended before the new state is adopted.
+	vPublish   // install publishes a region prefix of its table
+	vCommit    // install publishes its last step: the table is applied
+	vNotLanded // abort of an install that never landed: tombstone only
+	vRollback  // abort rolls the table back to the record's table
+)
+
+// logged reports whether the verdict changes the state, so the record must
+// reach the WAL before the handler adopts it.
+func (v resizeVerdict) logged() bool { return v >= vPublish }
+
+// publishes reports whether the verdict replaces the table with the record's.
+func (v resizeVerdict) publishes() bool { return v.logged() && v != vNotLanded }
+
+// next decides one install step or abort against st and returns the state
+// after it. It is pure: st is never mutated, and every non-logged verdict
+// returns st unchanged, so a caller that fails to log the record simply
+// keeps st.
+func (st resizeState) next(rec walRecord) (resizeState, resizeVerdict) {
 	if rec.Fence < st.maxFence {
-		return // superseded before the crash; the successor's records follow
+		return st, vFenced
 	}
-	st.maxFence = rec.Fence
+	nx := st
+	nx.maxFence = rec.Fence
+	if rec.Kind == recWALAbort {
+		// Tombstone the aborted pair — even when the install never landed
+		// here — so a straggler install for this resize is rejected instead
+		// of applied against the freed blocks.
+		if rec.Fence > st.abortedFence || (rec.Fence == st.abortedFence && rec.Epoch > st.abortedEpoch) {
+			nx.abortedFence, nx.abortedEpoch = rec.Fence, rec.Epoch
+		}
+		applied := rec.Fence == st.appliedFence && rec.Epoch == st.appliedEpoch
+		partial := rec.Fence == st.installFence && rec.Epoch == st.installEpoch && st.regionMilestone > 0
+		if !applied && !partial {
+			return nx, vNotLanded
+		}
+		// The rollback supersedes whatever region steps were published;
+		// forgetting the progress keeps a later install at this fence from
+		// "resuming" a plan that no longer owns the table.
+		if st.regionMilestone > 0 {
+			nx.regionMilestone = 0
+		}
+		if applied {
+			nx.appliedEpoch = rec.Epoch - 1
+		}
+		return nx, vRollback
+	}
 	if rec.Fence == st.abortedFence && rec.Epoch <= st.abortedEpoch {
-		return // tombstoned resize; its rollback record already ran
+		// A straggler (the client abandoned this frame on a timeout, then the
+		// resize aborted) or a duplicate: its table references blocks the
+		// abort already freed. For a partly-published install this is also
+		// the resurrection stop: the abort rolled the table back between
+		// flips, and continuing would re-publish freed blocks.
+		return st, vTombstoned
 	}
 	if rec.Fence == st.appliedFence && rec.Epoch == st.appliedEpoch {
-		return // duplicate of a fully-applied install
+		return st, vApplied
 	}
 	if st.installFence != rec.Fence || st.installEpoch != rec.Epoch {
-		st.installFence, st.installEpoch = rec.Fence, rec.Epoch
+		// A different install owned the progress counter (or none did); this
+		// one takes over from step zero.
+		nx.installFence, nx.installEpoch = rec.Fence, rec.Epoch
 		if st.regionMilestone > 0 {
-			st.regionMilestone = 0
+			nx.regionMilestone = 0
 		}
 	}
-	if st.regionMilestone >= uint64(rec.Step)+1 {
-		return // already replayed past this step
+	if nx.regionMilestone >= uint64(rec.Step)+1 {
+		return st, vStepDone
 	}
-	st.table = rec.Table
-	st.regionMilestone = uint64(rec.Step) + 1
-	if rec.Step+1 == rec.Total {
-		st.appliedFence, st.appliedEpoch = rec.Fence, rec.Epoch
+	nx.regionMilestone = uint64(rec.Step) + 1
+	if rec.Step+1 < rec.Total {
+		return nx, vPublish
 	}
+	nx.appliedFence, nx.appliedEpoch = rec.Fence, rec.Epoch
+	return nx, vCommit
 }
 
-func (st *replayState) applyAbort(rec walRecord) {
-	if rec.Fence < st.maxFence {
-		return
-	}
-	st.maxFence = rec.Fence
-	if rec.Fence > st.abortedFence || (rec.Fence == st.abortedFence && rec.Epoch > st.abortedEpoch) {
-		st.abortedFence, st.abortedEpoch = rec.Fence, rec.Epoch
-	}
-	applied := rec.Fence == st.appliedFence && rec.Epoch == st.appliedEpoch
-	partial := rec.Fence == st.installFence && rec.Epoch == st.installEpoch && st.regionMilestone > 0
-	if !applied && !partial {
-		return // the aborted install never landed here
-	}
-	st.table = rec.Table
-	if st.regionMilestone > 0 {
-		st.regionMilestone = 0
-	}
-	if applied {
-		st.appliedEpoch = rec.Epoch - 1
-	}
+// replayState is the fold of a WAL: the resize state plus the table its last
+// publishing record carried.
+type replayState struct {
+	resizeState
+	table []BlockRef
 }
 
 // replayWAL folds one WAL file's records into st, tolerating a torn tail and
 // stopping at the first inconsistent record. It returns how many records
-// were folded in.
-func replayWAL(path string, st *replayState) (int, error) {
+// were folded in and whether that was every record the file holds — the
+// condition for appending to the file again.
+func replayWAL(path string, st *replayState) (int, bool, error) {
 	payloads, _, err := durable.ReadFile(path)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	return replayWALRecords(payloads, st), nil
+	k := replayWALRecords(payloads, st)
+	return k, k == len(payloads), nil
 }
 
 // replayWALRecords is the pure core of replayWAL (the fuzz surface): decode
-// each payload, check cross-record digest consistency, fold into st.
+// each payload, check cross-record digest consistency, fold into st. A record
+// that is internally inconsistent (digest mismatch within one resize, unknown
+// kind) stops the scan, exactly like a torn tail; stale or duplicate records
+// fold to non-logged verdicts and change nothing.
 func replayWALRecords(payloads [][]byte, st *replayState) int {
 	applied := 0
 	digests := make(map[[2]uint64]uint32)
@@ -359,9 +401,13 @@ func replayWALRecords(payloads [][]byte, st *replayState) int {
 				return applied // two steps of one resize disagree on the table: stop clean
 			}
 			digests[key] = rec.Digest
-		}
-		if !st.apply(rec) {
+		} else if rec.Kind != recWALAbort {
 			return applied
+		}
+		var v resizeVerdict
+		st.resizeState, v = st.next(rec)
+		if v.publishes() {
+			st.table = rec.Table
 		}
 		applied++
 	}
@@ -430,21 +476,6 @@ func (n *ArrayNode) walAppendLocked(rec walRecord) error {
 	return nil
 }
 
-// stateLocked packages the node's fencing milestones as a replayState.
-// Callers hold n.mu.
-func (n *ArrayNode) stateLocked() replayState {
-	return replayState{
-		maxFence:        n.maxFence,
-		appliedFence:    n.appliedFence,
-		appliedEpoch:    n.appliedEpoch,
-		abortedFence:    n.abortedFence,
-		abortedEpoch:    n.abortedEpoch,
-		installFence:    n.installFence,
-		installEpoch:    n.installEpoch,
-		regionMilestone: n.regionMilestone,
-	}
-}
-
 // Snapshot streams a consistent cut of the node to a new snapshot file and
 // prunes the files it supersedes. The cut — table plus fencing milestones —
 // is taken inside an EBR read section with the node mutex held just long
@@ -474,7 +505,7 @@ func (n *ArrayNode) Snapshot() (SnapshotInfo, error) {
 	// capture milestones, rotate the WAL so every milestone acknowledged
 	// after the cut lands in a file the cut's WALSeq points at.
 	var hook func(seg uint64)
-	table, cutState, newSeq, oldWAL, err := func() ([]BlockRef, replayState, uint64, *durable.Writer, error) {
+	table, cutState, newSeq, oldWAL, err := func() ([]BlockRef, resizeState, uint64, *durable.Writer, error) {
 		g := n.dom.Enter()
 		defer g.Exit()
 		n.mu.Lock()
@@ -485,12 +516,12 @@ func (n *ArrayNode) Snapshot() (SnapshotInfo, error) {
 		seq := n.walSeq + 1
 		w, err := durable.Create(walPath(n.dataDir, seq))
 		if err != nil {
-			return nil, replayState{}, 0, nil, fmt.Errorf("dist: rotating WAL: %w", err)
+			return nil, resizeState{}, 0, nil, fmt.Errorf("dist: rotating WAL: %w", err)
 		}
 		old := n.wal
 		n.wal = w
 		n.walSeq = seq
-		return snap.table, n.stateLocked(), seq, old, nil
+		return snap.table, n.rs, seq, old, nil
 	}()
 	if err != nil {
 		return SnapshotInfo{}, err
@@ -602,11 +633,11 @@ func (n *ArrayNode) handleRecoverState(payload []byte) ([]byte, error) {
 	snap := n.snap.Load()
 	snap.CheckLive()
 	s := recoverState{
-		MaxFence:     n.maxFence,
-		AppliedFence: n.appliedFence,
-		AppliedEpoch: n.appliedEpoch,
-		AbortedFence: n.abortedFence,
-		AbortedEpoch: n.abortedEpoch,
+		MaxFence:     n.rs.maxFence,
+		AppliedFence: n.rs.appliedFence,
+		AppliedEpoch: n.rs.appliedEpoch,
+		AbortedFence: n.rs.abortedFence,
+		AbortedEpoch: n.rs.abortedEpoch,
 		Table:        snap.table,
 	}
 	return s.encode(), nil
@@ -693,8 +724,7 @@ func (n *ArrayNode) recoverFromDisk() error {
 		if err != nil {
 			continue
 		}
-		st = h.st
-		st.table = table
+		st = replayState{h.st, table}
 		segs = s
 		loadedSnap = snapSeqs[i]
 		walFrom = h.WALSeq
@@ -714,17 +744,18 @@ func (n *ArrayNode) recoverFromDisk() error {
 		return err
 	}
 	lastWAL := uint64(0)
+	tailWhole := false
 	replayed := 0
 	for _, seq := range walSeqs {
 		if seq < walFrom {
 			continue
 		}
-		k, err := replayWAL(walPath(n.dataDir, seq), &st)
+		k, whole, err := replayWAL(walPath(n.dataDir, seq), &st)
 		if err != nil {
 			return fmt.Errorf("dist: replaying WAL %d: %w", seq, err)
 		}
 		replayed += k
-		lastWAL = seq
+		lastWAL, tailWhole = seq, whole
 	}
 
 	// Install the recovered state. No reader exists yet (DeferServe), so the
@@ -734,14 +765,7 @@ func (n *ArrayNode) recoverFromDisk() error {
 	n.blockSize = int(conf.BlockSize)
 	n.identity = conf.Identity
 	n.restartGen = conf.RestartGen
-	n.maxFence = st.maxFence
-	n.appliedFence = st.appliedFence
-	n.appliedEpoch = st.appliedEpoch
-	n.abortedFence = st.abortedFence
-	n.abortedEpoch = st.abortedEpoch
-	n.installFence = st.installFence
-	n.installEpoch = st.installEpoch
-	n.regionMilestone = st.regionMilestone
+	n.rs = st.resizeState
 	n.snap.Store(&tableSnapshot{table: st.table})
 	n.snapSeq = loadedSnap
 	n.mu.Unlock()
@@ -824,10 +848,20 @@ func (n *ArrayNode) recoverFromDisk() error {
 	n.trace.ring = n.trace.tr.Ring(int(n.id), 0)
 	n.trace.lockRing = n.trace.tr.Ring(int(n.id), 1)
 
-	// Open the WAL at the next fresh sequence; replayed files stay behind
-	// until the next snapshot prunes them.
-	n.walSeq = lastWAL + 1
-	w, err := durable.Create(walPath(n.dataDir, n.walSeq))
+	// Append to the newest WAL file when replay folded every record in it
+	// (OpenAppend truncates a torn tail), so restarts do not pile up files.
+	// A record that stopped the scan must never have records behind it — the
+	// next replay would stop there again and drop them — so in that case, or
+	// with no file to reopen, the WAL starts a fresh sequence. Replayed files
+	// stay behind until the next snapshot prunes them.
+	var w *durable.Writer
+	if tailWhole {
+		n.walSeq = lastWAL
+		w, err = durable.OpenAppend(walPath(n.dataDir, n.walSeq))
+	} else {
+		n.walSeq = lastWAL + 1
+		w, err = durable.Create(walPath(n.dataDir, n.walSeq))
+	}
 	if err != nil {
 		n.mu.Unlock()
 		return fmt.Errorf("dist: opening WAL: %w", err)
@@ -842,8 +876,8 @@ func (n *ArrayNode) recoverFromDisk() error {
 	// fence out.
 	n.lockMu.Lock()
 	n.mu.Lock()
-	if n.lockFence < n.maxFence {
-		n.lockFence = n.maxFence
+	if n.lockFence < n.rs.maxFence {
+		n.lockFence = n.rs.maxFence
 	}
 	n.mu.Unlock()
 	n.lockMu.Unlock()
@@ -865,25 +899,22 @@ func (n *ArrayNode) recoverFromDisk() error {
 // hold n.mu. No EBR grace period is needed: adoption runs only before the
 // node serves.
 func (n *ArrayNode) adoptRecoverStateLocked(rs recoverState) bool {
-	if rs.MaxFence < n.maxFence {
+	if rs.MaxFence < n.rs.maxFence {
 		return false
 	}
-	newer := rs.MaxFence > n.maxFence ||
-		rs.AppliedEpoch > n.appliedEpoch ||
-		rs.AbortedFence > n.abortedFence ||
-		(rs.AbortedFence == n.abortedFence && rs.AbortedEpoch > n.abortedEpoch)
+	newer := rs.MaxFence > n.rs.maxFence ||
+		rs.AppliedEpoch > n.rs.appliedEpoch ||
+		rs.AbortedFence > n.rs.abortedFence ||
+		(rs.AbortedFence == n.rs.abortedFence && rs.AbortedEpoch > n.rs.abortedEpoch)
 	if !newer {
 		return false
 	}
-	n.maxFence = rs.MaxFence
-	n.appliedFence = rs.AppliedFence
-	n.appliedEpoch = rs.AppliedEpoch
-	n.abortedFence = rs.AbortedFence
-	n.abortedEpoch = rs.AbortedEpoch
-	n.installFence = rs.AppliedFence
-	n.installEpoch = rs.AppliedEpoch
-	if n.regionMilestone > 0 {
-		n.regionMilestone = 0
+	n.rs.maxFence = rs.MaxFence
+	n.rs.appliedFence, n.rs.appliedEpoch = rs.AppliedFence, rs.AppliedEpoch
+	n.rs.abortedFence, n.rs.abortedEpoch = rs.AbortedFence, rs.AbortedEpoch
+	n.rs.installFence, n.rs.installEpoch = rs.AppliedFence, rs.AppliedEpoch
+	if n.rs.regionMilestone > 0 {
+		n.rs.regionMilestone = 0
 	}
 	n.snap.Store(&tableSnapshot{table: rs.Table})
 	return true

@@ -345,6 +345,79 @@ func TestDurableWALReplayRestart(t *testing.T) {
 	}
 }
 
+// A restart appends to the WAL file it replayed instead of opening a fresh
+// one, so a data dir does not grow one file per incarnation. A tail file that
+// ends in a record replay stops at is never appended to: records behind it
+// would be dropped by every later replay.
+func TestDurableRestartAppendsToWALTail(t *testing.T) {
+	d, nodes, dirs := spawnDurableCluster(t, 1, 8, chaosOpts(17))
+	if err := d.Grow(8); err != nil {
+		t.Fatalf("Grow: %v", err)
+	}
+	walFiles := func() []uint64 {
+		seqs, err := seqFiles(dirs[0], walPrefix, walSuffix)
+		if err != nil {
+			t.Fatalf("listing WAL files: %v", err)
+		}
+		return seqs
+	}
+	node, addr := nodes[0], nodes[0].Addr()
+	restart := func(what string, wantLen, wantFiles int) {
+		t.Helper()
+		node.Close()
+		node = restartNode(t, addr, dirs[0])
+		if got, err := d.NodeLen(0); err != nil || got != wantLen {
+			t.Fatalf("%s: node serves %d elements, %v; want the acked %d", what, got, err, wantLen)
+		}
+		if got := len(walFiles()); got != wantFiles {
+			t.Fatalf("%s: %d WAL files, want %d", what, got, wantFiles)
+		}
+	}
+
+	files := len(walFiles())
+	for cycle := 1; cycle <= 20; cycle++ {
+		if cycle%5 == 0 {
+			if err := d.Grow(8); err != nil {
+				t.Fatalf("cycle %d: Grow: %v", cycle, err)
+			}
+		}
+		restart(fmt.Sprintf("restart %d", cycle), d.Len(), files)
+	}
+
+	// End the tail file in a record that stops replay: a second copy of its
+	// last install step, disagreeing on the resize's table digest.
+	node.Close()
+	seqs := walFiles()
+	tail := walPath(dirs[0], seqs[len(seqs)-1])
+	payloads, _, err := durable.ReadFile(tail)
+	if err != nil {
+		t.Fatalf("reading WAL tail: %v", err)
+	}
+	var bad walRecord
+	for _, p := range payloads {
+		if rec, err := decodeWALRecord(p); err == nil && rec.Kind == recWALInstall {
+			bad = rec
+		}
+	}
+	if bad.Kind != recWALInstall {
+		t.Fatal("WAL tail holds no install record")
+	}
+	bad.Digest++
+	w, err := durable.OpenAppend(tail)
+	if err == nil {
+		err = w.Append(bad.encode())
+	}
+	if err != nil {
+		t.Fatalf("appending the mismatched record: %v", err)
+	}
+	w.Close()
+	restart("restart behind a stopping record", d.Len(), files+1)
+	if err := d.Grow(8); err != nil {
+		t.Fatalf("Grow after the restart: %v", err)
+	}
+	restart("restart after the fresh WAL file", d.Len(), files+1)
+}
+
 // A node killed mid-install replays that partial install from its WAL at
 // restart — and must then adopt the survivors' abort tombstone instead of
 // resurrecting the table the cluster rolled back while it was down.
@@ -496,59 +569,90 @@ func TestDurableDriverCloseBlocksRedial(t *testing.T) {
 	}
 }
 
-// replayState must mirror the live handlers' fencing transitions exactly.
-func TestReplayStateTransitions(t *testing.T) {
-	tbl := func(n int) []BlockRef {
-		t := make([]BlockRef, n)
-		for i := range t {
-			t[i] = BlockRef{Node: 0, Seg: uint64(i + 1)}
-		}
-		return t
+func testTable(n int) []BlockRef {
+	t := make([]BlockRef, n)
+	for i := range t {
+		t[i] = BlockRef{Node: 0, Seg: uint64(i + 1)}
 	}
-	install := func(fence, epoch uint64, step, total uint32, table []BlockRef) walRecord {
-		return walRecord{Kind: recWALInstall, Fence: fence, Epoch: epoch,
-			Step: step, Total: total, Digest: tableDigest(table), Table: table[:0+len(table)]}
-	}
+	return t
+}
 
-	t.Run("FullInstallApplies", func(t *testing.T) {
-		var st replayState
-		full := tbl(4)
-		st.apply(install(2, 1, 0, 2, full[:2]))
-		st.apply(install(2, 1, 1, 2, full))
-		if st.appliedFence != 2 || st.appliedEpoch != 1 || len(st.table) != 4 {
-			t.Fatalf("full install: %+v", st)
-		}
-	})
-	t.Run("PartialThenAbortRollsBack", func(t *testing.T) {
-		var st replayState
-		old := tbl(2)
-		st.apply(install(2, 1, 0, 2, tbl(3)))
-		st.apply(walRecord{Kind: recWALAbort, Fence: 2, Epoch: 1, Table: old})
-		if len(st.table) != 2 || st.abortedFence != 2 || st.abortedEpoch != 1 || st.regionMilestone != 0 {
-			t.Fatalf("abort rollback: %+v", st)
-		}
-		// A straggler step of the aborted install must not resurrect it.
-		st.apply(install(2, 1, 1, 2, tbl(4)))
-		if len(st.table) != 2 {
-			t.Fatalf("aborted install resurrected: %+v", st)
-		}
-	})
-	t.Run("StaleFenceSkipped", func(t *testing.T) {
-		var st replayState
-		st.apply(install(5, 1, 0, 1, tbl(3)))
-		st.apply(install(4, 9, 0, 1, tbl(8)))
-		if st.maxFence != 5 || len(st.table) != 3 {
-			t.Fatalf("stale fence applied: %+v", st)
-		}
-	})
-	t.Run("DuplicateStepIdempotent", func(t *testing.T) {
-		var st replayState
-		st.apply(install(2, 1, 0, 2, tbl(3)))
-		st.apply(install(2, 1, 0, 2, tbl(3)))
-		if st.regionMilestone != 1 || st.appliedFence != 0 {
-			t.Fatalf("duplicate step: %+v", st)
-		}
-	})
+func installRec(fence, epoch uint64, step, total uint32, table []BlockRef) walRecord {
+	return walRecord{Kind: recWALInstall, Fence: fence, Epoch: epoch,
+		Step: step, Total: total, Digest: tableDigest(table), Table: table}
+}
+
+func abortRec(fence, epoch uint64, table []BlockRef) walRecord {
+	return walRecord{Kind: recWALAbort, Fence: fence, Epoch: epoch, Table: table}
+}
+
+func encodeRecs(recs ...walRecord) [][]byte {
+	payloads := make([][]byte, len(recs))
+	for i, rec := range recs {
+		payloads[i] = rec.encode()
+	}
+	return payloads
+}
+
+// One row per resizeVerdict: fold the records before it through replay, then
+// require next's verdict on the row's record and the state replay reaches
+// with it; then the two records that stop a replay scan.
+func TestReplayStateTransitions(t *testing.T) {
+	tbl, install, abort := testTable, installRec, abortRec
+	full := tbl(4)
+	rows := []struct {
+		name   string
+		before []walRecord
+		rec    walRecord
+		want   resizeVerdict
+		ok     func(st replayState) bool
+	}{
+		{"StaleFenceSkipped", []walRecord{install(5, 1, 0, 1, tbl(3))}, install(4, 9, 0, 1, tbl(8)), vFenced,
+			func(st replayState) bool { return st.maxFence == 5 && len(st.table) == 3 }},
+		{"StragglerAfterAbortTombstoned", []walRecord{install(2, 1, 0, 2, tbl(3)), abort(2, 1, tbl(2))},
+			install(2, 1, 1, 2, tbl(4)), vTombstoned,
+			func(st replayState) bool { return len(st.table) == 2 && st.regionMilestone == 0 }},
+		{"RetriedInstallApplied", []walRecord{install(2, 1, 0, 1, tbl(3))}, install(2, 1, 0, 1, tbl(3)), vApplied,
+			func(st replayState) bool { return st.appliedFence == 2 && st.regionMilestone == 1 }},
+		{"DuplicateStepIdempotent", []walRecord{install(2, 1, 0, 2, tbl(3))}, install(2, 1, 0, 2, tbl(3)), vStepDone,
+			func(st replayState) bool { return st.regionMilestone == 1 && st.appliedFence == 0 }},
+		{"FirstStepPublishes", nil, install(2, 1, 0, 2, tbl(3)), vPublish,
+			func(st replayState) bool {
+				return st.installFence == 2 && st.regionMilestone == 1 && st.appliedFence == 0 && len(st.table) == 3
+			}},
+		{"FullInstallApplies", []walRecord{install(2, 1, 0, 2, full[:2])}, install(2, 1, 1, 2, full), vCommit,
+			func(st replayState) bool { return st.appliedFence == 2 && st.appliedEpoch == 1 && len(st.table) == 4 }},
+		{"AbortNeverLandedTombstones", []walRecord{install(2, 1, 0, 1, tbl(3))}, abort(3, 1, tbl(3)), vNotLanded,
+			func(st replayState) bool {
+				return st.maxFence == 3 && st.abortedFence == 3 && st.abortedEpoch == 1 && st.appliedFence == 2
+			}},
+		{"PartialThenAbortRollsBack", []walRecord{install(2, 1, 0, 2, tbl(3))}, abort(2, 1, tbl(2)), vRollback,
+			func(st replayState) bool {
+				return len(st.table) == 2 && st.abortedFence == 2 && st.abortedEpoch == 1 && st.regionMilestone == 0
+			}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var st replayState
+			if n := replayWALRecords(encodeRecs(row.before...), &st); n != len(row.before) {
+				t.Fatalf("set-up folded %d of %d records", n, len(row.before))
+			}
+			before := st.resizeState
+			next, v := before.next(row.rec)
+			if v != row.want {
+				t.Fatalf("verdict %d, want %d (state %+v)", v, row.want, before)
+			}
+			if st.resizeState != before {
+				t.Fatalf("next mutated its receiver: %+v -> %+v", before, st.resizeState)
+			}
+			if replayWALRecords(encodeRecs(row.rec), &st) != 1 || st.resizeState != next {
+				t.Fatalf("replay reached %+v, next decided %+v", st.resizeState, next)
+			}
+			if !row.ok(st) {
+				t.Fatalf("state after %d: %+v", v, st)
+			}
+		})
+	}
 	t.Run("DigestMismatchStopsScan", func(t *testing.T) {
 		var st replayState
 		good := install(2, 1, 0, 2, tbl(3))
@@ -575,7 +679,7 @@ func TestReplayStateTransitions(t *testing.T) {
 func buildTestSnapshot() []byte {
 	table := []BlockRef{{Node: 1, Seg: 3}, {Node: 0, Seg: 9}}
 	h := snapHeader{NodeID: 1, BlockSize: 8, WallNanos: 12345, WALSeq: 2,
-		st: replayState{maxFence: 4, appliedFence: 4, appliedEpoch: 2,
+		st: resizeState{maxFence: 4, appliedFence: 4, appliedEpoch: 2,
 			installFence: 4, installEpoch: 2}}
 	var tw wbuf
 	tw.u8(recSnapTable)

@@ -53,21 +53,9 @@ type ArrayNode struct {
 	lockHolder uint64    // current token, 0 = free
 	lockExpiry time.Time // lease end for lockHolder
 
-	// Install/abort fencing and idempotency state (guarded by mu).
-	maxFence     uint64 // highest fencing token seen
-	appliedFence uint64 // (fence, epoch) of the applied table
-	appliedEpoch uint64
-
-	// Incremental-install progress (guarded by mu). An install carrying
-	// region ranges publishes its table one region at a time; these fields
-	// record which install is mid-flight and how many of its region steps
-	// have been published, so a retried install resumes instead of
-	// re-flipping, and an abort of a partly-applied install knows to roll
-	// back. regionMilestone only moves forward within one (fence, epoch)
-	// and resets when a different install or an abort takes over.
-	installFence    uint64
-	installEpoch    uint64
-	regionMilestone uint64 // region steps of (installFence, installEpoch) published
+	// Install/abort fencing, idempotency and region progress (guarded by mu),
+	// changed only through rs.next (see durability.go).
+	rs resizeState
 
 	// installHook, when set, runs after each region publication with the
 	// node's mutex released — the window the chaos and linearizability
@@ -79,16 +67,6 @@ type ArrayNode struct {
 	// durability tests use to park a snapshot mid-stream and prove writers
 	// and installs proceed beside it. Test-only.
 	snapHook func(seg uint64)
-
-	// abortedFence/abortedEpoch tombstone the highest (fence, epoch) pair an
-	// abort has been processed for — including aborts that were no-ops here
-	// because the install never landed. A straggler or duplicate install
-	// carrying an aborted pair would otherwise pass the fence check (same
-	// token) and miss the idempotency check (the rollback moved appliedEpoch
-	// back), re-installing a table whose blocks the abort already freed
-	// (guarded by mu).
-	abortedFence uint64
-	abortedEpoch uint64
 
 	// Durability state (see durability.go). dataDir is fixed at
 	// construction; identity and restartGen are persisted in node.conf so a
@@ -223,16 +201,6 @@ func (n *ArrayNode) HoldReader(slot int) func() {
 	//rcuvet:ignore fault-injection hook: the leak is the fault; the caller releases via the returned closure
 	g := n.dom.EnterSlot(slot)
 	return g.Exit
-}
-
-// StallWarnings returns how many grace-period stall warnings the node's
-// watchdog has fired (zero without one) — the chaos harness's false-positive
-// gate.
-func (n *ArrayNode) StallWarnings() uint64 {
-	if n.watchdog == nil {
-		return 0
-	}
-	return n.watchdog.Warnings()
 }
 
 // Obs returns the node's observability registry: protocol counters, EBR
@@ -447,10 +415,10 @@ func (n *ArrayNode) handleAllocBlock(payload []byte) ([]byte, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if fence <= n.maxFence {
+	if fence <= n.rs.maxFence {
 		n.fenced.Inc()
 		n.trace.instant(n.trace.nFenced, int64(fence))
-		return nil, fmt.Errorf("dist: alloc fenced: token %d at or below milestone %d", fence, n.maxFence)
+		return nil, fmt.Errorf("dist: alloc fenced: token %d at or below milestone %d", fence, n.rs.maxFence)
 	}
 	e, ok := n.allocs[reqID]
 	if !ok {
@@ -549,8 +517,13 @@ func validateRegions(steps []RegionRange, tableLen int) error {
 // released after every flip, so an abort or a superseding holder can land
 // mid-install). A fenced or aborted partial install stops with the table at
 // a consistent region-boundary prefix, which the abort's rollback or the
-// successor's install then owns; regionMilestone makes retries resume after
-// the last published step instead of re-flipping.
+// successor's install then owns; the region milestone makes retries resume
+// after the last published step instead of re-flipping.
+//
+// Every step runs decide → WAL-append → adopt → side effects: rs.next decides
+// it, a logged verdict is appended (and fsynced) before the new state and
+// table are adopted, so a WAL failure rejects the step with both untouched:
+// the state moves only together with a WAL record.
 func (n *ArrayNode) handleInstall(payload []byte) ([]byte, error) {
 	if !n.configured.Load() {
 		return nil, fmt.Errorf("dist: node not configured")
@@ -570,66 +543,51 @@ func (n *ArrayNode) handleInstall(payload []byte) ([]byte, error) {
 	n.mu.Unlock()
 	digest := tableDigest(q.Table)
 	for k, rg := range steps {
-		n.mu.Lock() // serializes installs on this node (WriteLock also does, belt and braces)
-		if q.Fence < n.maxFence {
-			n.fenced.Inc()
-			n.trace.instant(n.trace.nFenced, int64(q.Fence))
-			n.mu.Unlock()
-			return nil, fmt.Errorf("dist: install fenced: token %d superseded by %d", q.Fence, n.maxFence)
+		rec := walRecord{
+			Kind: recWALInstall, Fence: q.Fence, Epoch: q.Epoch,
+			Step: uint32(k), Total: uint32(len(steps)), Digest: digest,
+			Table: q.Table[:rg.Hi],
 		}
-		n.maxFence = q.Fence
-		if q.Fence == n.abortedFence && q.Epoch <= n.abortedEpoch {
-			// A straggler (the client abandoned this frame on a timeout, then
-			// the resize aborted) or a duplicate: the table it carries references
-			// blocks the abort already freed, and other nodes rolled back. For a
-			// partly-published install this is also the resurrection stop: the
-			// abort rolled the table back between our flips, and continuing
-			// would re-publish blocks it already freed.
+		n.mu.Lock() // serializes installs on this node (WriteLock also does, belt and braces)
+		next, v := n.rs.next(rec)
+		if v == vFenced || v == vTombstoned {
 			n.fenced.Inc()
 			n.trace.instant(n.trace.nFenced, int64(q.Fence))
+			err := fmt.Errorf("dist: install of aborted resize (token %d, epoch %d)", q.Fence, q.Epoch)
+			if v == vFenced {
+				err = fmt.Errorf("dist: install fenced: token %d superseded by %d", q.Fence, n.rs.maxFence)
+			}
 			n.mu.Unlock()
-			return nil, fmt.Errorf("dist: install of aborted resize (token %d, epoch %d)", q.Fence, q.Epoch)
+			return nil, err
 		}
 		if k == 0 {
 			n.pruneAllocsLocked(q.Fence, q.Table)
 		}
-		if q.Fence == n.appliedFence && q.Epoch == n.appliedEpoch {
+		if v == vApplied {
 			n.mu.Unlock()
-			return nil, nil // retried install, already applied in full
+			return nil, nil
 		}
-		if n.installFence != q.Fence || n.installEpoch != q.Epoch {
-			// A different install owned the progress counter (or none did);
-			// this one takes over from step zero.
-			n.installFence, n.installEpoch = q.Fence, q.Epoch
-			n.regionMilestone = 0
-		}
-		if n.regionMilestone >= uint64(k+1) {
-			n.mu.Unlock() // retried install resuming: this step is already published
+		if v == vStepDone {
+			n.mu.Unlock() // retried install resuming past a published step
 			continue
 		}
 		// Write-ahead: the milestone is on disk before the flip is published
-		// (and so before it can be acknowledged). A WAL failure rejects the
-		// install with the table untouched.
-		if err := n.walAppendLocked(walRecord{
-			Kind: recWALInstall, Fence: q.Fence, Epoch: q.Epoch,
-			Step: uint32(k), Total: uint32(len(steps)), Digest: digest,
-			Table: q.Table[:rg.Hi],
-		}); err != nil {
+		// (and so before it can be acknowledged).
+		if err := n.walAppendLocked(rec); err != nil {
 			n.mu.Unlock()
 			return nil, err
 		}
+		// A commit adopts the applied pair in the same critical section as the
+		// last flip: the mutex drops before the hook below, and a successor
+		// landing in that window must not see this install claim applied
+		// status afterwards.
+		n.rs = next
 		n.trace.begin(n.trace.nInstall)
-		n.replaceTableLocked(q.Table[:rg.Hi])
+		n.replaceTableLocked(rec.Table)
 		n.trace.end(n.trace.nInstall)
-		n.regionMilestone = uint64(k + 1)
 		n.regionFlips.Inc()
 		n.trace.instant(n.trace.nRegion, int64(k))
-		if k == len(steps)-1 {
-			// Commit in the same critical section as the last flip: the mutex
-			// drops before the hook below, and a successor landing in that
-			// window must not see this install claim applied status afterwards.
-			n.appliedFence = q.Fence
-			n.appliedEpoch = q.Epoch
+		if v == vCommit {
 			n.installs.Inc()
 		}
 		n.mu.Unlock()
@@ -654,9 +612,11 @@ func (n *ArrayNode) handleAbort(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	rec := walRecord{Kind: recWALAbort, Fence: q.Fence, Epoch: q.Epoch, Table: q.Table}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if q.Fence < n.maxFence {
+	next, v := n.rs.next(rec)
+	if v == vFenced {
 		n.fenced.Inc()
 		n.trace.instant(n.trace.nFenced, int64(q.Fence))
 		return nil, nil
@@ -664,36 +624,17 @@ func (n *ArrayNode) handleAbort(payload []byte) ([]byte, error) {
 	// Write-ahead, before any state (tombstone included) changes: a crash
 	// after the ack replays this record and reconstructs both the tombstone
 	// and the rollback.
-	if err := n.walAppendLocked(walRecord{Kind: recWALAbort, Fence: q.Fence, Epoch: q.Epoch, Table: q.Table}); err != nil {
+	if err := n.walAppendLocked(rec); err != nil {
 		return nil, err
 	}
-	n.maxFence = q.Fence
-	// Tombstone the aborted pair — even when the install never landed here —
-	// so a straggler install for this resize is rejected instead of applied
-	// against the freed blocks.
-	if q.Fence > n.abortedFence || (q.Fence == n.abortedFence && q.Epoch > n.abortedEpoch) {
-		n.abortedFence, n.abortedEpoch = q.Fence, q.Epoch
-	}
-	applied := q.Fence == n.appliedFence && q.Epoch == n.appliedEpoch
-	partial := q.Fence == n.installFence && q.Epoch == n.installEpoch && n.regionMilestone > 0
-	if !applied && !partial {
+	n.rs = next
+	if v == vNotLanded {
 		n.pruneAllocsLocked(q.Fence, q.Table)
-		return nil, nil // the aborted install never landed here
+		return nil, nil
 	}
 	abortedTable := n.snap.Load().table
 	n.trace.begin(n.trace.nAbort)
 	n.replaceTableLocked(q.Table)
-	if partial {
-		// The aborted install published some region steps; the rollback just
-		// superseded them, and the tombstone above stops the in-flight
-		// handler from publishing any more. Forgetting the progress (guarded
-		// by the > 0 check) keeps a later install at this fence from
-		// "resuming" a plan that no longer owns the table.
-		n.regionMilestone = 0
-	}
-	if applied {
-		n.appliedEpoch = q.Epoch - 1
-	}
 	// Free the local blocks the aborted install had added — present in the
 	// table being rolled back but not in the rollback table. This runs after
 	// the rollback's Synchronize, so no local reader is still inside a

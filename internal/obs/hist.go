@@ -58,25 +58,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// CountOver returns how many observations fell at or above ns, resolved at
-// bucket granularity: ns rounds DOWN to its bucket's lower bound, so the
-// estimate errs pessimistic (counts the whole containing bucket), matching
-// the quantile convention. SLO thresholds that are powers of two are exact.
-func (h *Histogram) CountOver(ns int64) uint64 {
-	if h == nil {
-		return 0
-	}
-	v := uint64(0)
-	if ns > 0 {
-		v = uint64(ns)
-	}
-	var n uint64
-	for b := bucketOf(v); b < histBuckets; b++ {
-		n += h.buckets[b].Load()
-	}
-	return n
-}
-
 // reset zeroes the histogram in place (registry Reset; not concurrency-safe
 // against writers).
 func (h *Histogram) reset() {

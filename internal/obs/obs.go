@@ -48,9 +48,3 @@ var Default = NewRegistry()
 
 // Count returns (creating if needed) a counter in the Default registry.
 func Count(name string) *Counter { return Default.Counter(name) }
-
-// Gaug returns (creating if needed) a gauge in the Default registry.
-func Gaug(name string) *Gauge { return Default.Gauge(name) }
-
-// Hist returns (creating if needed) a histogram in the Default registry.
-func Hist(name string) *Histogram { return Default.Histogram(name) }
