@@ -12,11 +12,6 @@
 #                                every package's tests with the long stress
 #                                loops trimmed, including the lincheck
 #                                suites, under the race detector)
-#   ./ci.sh lint       lint tier: staticcheck + govulncheck at pinned
-#                                versions, installed once into .cache/toolbin
-#                                (requires network on first run; fails fast
-#                                with instructions when offline), then
-#                                rcuvet -json archived as RCUVET.json
 #   ./ci.sh obs        observability tier: one traced pass of the benchmark
 #                                (benchmark/run.sh --workload index_ebr
 #                                --trace 1) prints obs.overhead_pct and its
@@ -46,13 +41,9 @@
 # No tier holds a timing constant or writes into the tree: performance is the
 # benchmark's job (BENCHMARK.json, benchmark/README.md), allocation budgets
 # are a tier-1 test (internal/comm TestAllocBudgets), and scratch files go to
-# ${TMPDIR:-/tmp}. The one committed artifact is RCUVET.json (lint).
+# ${TMPDIR:-/tmp}.
 set -eu
 
-# Pinned lint-tier tool versions: bump deliberately, in their own commit.
-STATICCHECK_VERSION=2025.1
-GOVULNCHECK_VERSION=v1.1.4
-TOOLBIN="$(cd "$(dirname "$0")" && pwd)/.cache/toolbin"
 TMP="${TMPDIR:-/tmp}"
 
 versions() {
@@ -95,38 +86,6 @@ tier15() {
 	versions tier-1.5
 	echo '--- tier-1.5: go test -race -short ./...'
 	go test -race -short ./...
-}
-
-lint() {
-	versions lint
-	mkdir -p "$TOOLBIN"
-	for tool in "staticcheck honnef.co/go/tools/cmd/staticcheck@$STATICCHECK_VERSION" \
-		"govulncheck golang.org/x/vuln/cmd/govulncheck@$GOVULNCHECK_VERSION"; do
-		name=${tool%% *}
-		spec=${tool#* }
-		if [ ! -x "$TOOLBIN/$name" ]; then
-			echo "--- lint: installing $spec into $TOOLBIN (one-time, cached)"
-			if ! GOBIN="$TOOLBIN" go install "$spec"; then
-				echo "ci: $name is not installed and could not be fetched (offline?)." >&2
-				echo "ci: install it manually with: GOBIN=$TOOLBIN go install $spec" >&2
-				exit 1
-			fi
-		fi
-	done
-	echo "--- lint: staticcheck ./... ($("$TOOLBIN/staticcheck" -version))"
-	"$TOOLBIN/staticcheck" ./...
-	echo "--- lint: govulncheck ./... ($("$TOOLBIN/govulncheck" -version | head -n 2 | tail -n 1))"
-	"$TOOLBIN/govulncheck" ./...
-	echo '--- lint: rcuvet -json -> RCUVET.json'
-	go build -o "$TMP/rcuvet.ci" ./cmd/rcuvet
-	# Archive the machine-readable findings even when rcuvet fails: the
-	# artifact is the point, the exit status still gates the tier.
-	if "$TMP/rcuvet.ci" -json ./... >RCUVET.json; then
-		echo 'lint: rcuvet clean (RCUVET.json holds an empty findings array)'
-	else
-		echo 'ci: rcuvet failed; findings archived in RCUVET.json' >&2
-		exit 1
-	fi
 }
 
 obs() {
@@ -221,7 +180,6 @@ recover() {
 case "${1:-tier1}" in
 tier1) tier1 ;;
 race) tier15 ;;
-lint) lint ;;
 obs) obs ;;
 chaos) chaos ;;
 recover) recover ;;
@@ -231,7 +189,7 @@ full)
 	chaos
 	;;
 *)
-	echo "usage: $0 [tier1|race|lint|obs|chaos|recover|full]" >&2
+	echo "usage: $0 [tier1|race|obs|chaos|recover|full]" >&2
 	exit 2
 	;;
 esac

@@ -160,7 +160,7 @@ type Runner struct {
 
 	// Times, after Run, holds each analyzer's wall time (Run over every
 	// target package plus Finish), keyed by analyzer name. ci.sh prints it
-	// so a pass that regresses the lint tier's latency is visible.
+	// so a pass that regresses tier-1's latency is visible.
 	Times map[string]time.Duration
 }
 

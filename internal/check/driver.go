@@ -41,11 +41,12 @@ type Driver struct {
 }
 
 type taskState struct {
-	work      chan func()
-	done      chan struct{}
-	completed atomic.Bool
-	cur       *Op
-	running   bool
+	work chan func()
+	// done carries one completion signal per Begun op (buffer 1): Await
+	// consumes it; StillRunning and WaitYield only observe it.
+	done    chan struct{}
+	cur     *Op
+	running bool
 }
 
 // NewDriver creates a driver with tasks pump goroutines and an empty
@@ -112,13 +113,11 @@ func (d *Driver) Begin(task int, op Op, body func(*Op)) {
 	cur := &op
 	ts.cur = cur
 	ts.running = true
-	ts.completed.Store(false)
 	ts.work <- func() {
 		defer func() {
 			if r := recover(); r != nil {
 				cur.Panic = fmt.Sprint(r)
 			}
-			ts.completed.Store(true)
 			ts.done <- struct{}{}
 		}()
 		body(cur)
@@ -156,14 +155,15 @@ func (d *Driver) StillRunning(task int, wait time.Duration) bool {
 	if !ts.running {
 		return false
 	}
-	deadline := time.Now().Add(wait) //rcuvet:ignore one-sided wall-clock wait: only asserts an op stayed blocked, never replayed
-	for time.Now().Before(deadline) {
-		if ts.completed.Load() {
-			return false
-		}
-		time.Sleep(50 * time.Microsecond)
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-ts.done:
+		ts.done <- struct{}{} // put the completion back for Await
+		return false
+	case <-timer.C:
+		return true
 	}
-	return !ts.completed.Load()
 }
 
 // Arm primes the yield gate: the next YieldPoint call parks its op. Arm the
@@ -188,19 +188,14 @@ func (d *Driver) YieldPoint(point string) {
 
 // WaitYield blocks until task's armed op parks at a yield point and returns
 // the point's name. It panics if the op completes without yielding (the
-// schedule armed an op with no instrumentation on its path).
+// schedule armed an op with no instrumentation on its path). A parked op
+// cannot complete before Resume, so at most one of the two cases is ready.
 func (d *Driver) WaitYield(task int) string {
-	ts := d.tasks[task]
-	for {
-		select {
-		case p := <-d.parkCh:
-			return p
-		default:
-		}
-		if ts.completed.Load() {
-			panic("check: armed op completed without reaching a yield point")
-		}
-		time.Sleep(20 * time.Microsecond)
+	select {
+	case p := <-d.parkCh:
+		return p
+	case <-d.tasks[task].done:
+		panic("check: armed op completed without reaching a yield point")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"unsafe"
 
-	"rcuarray/internal/ebr"
 	"rcuarray/internal/locale"
 	"rcuarray/internal/memory"
 	"rcuarray/internal/obs"
@@ -49,13 +48,6 @@ type Options struct {
 	// task slots. It exists for the A/B ablation benchmarks; production
 	// arrays leave it false.
 	FlatEBR bool
-	// TreeEBR replaces the per-locale EBR domains with ONE cluster-shared
-	// hierarchical domain (ebr.NewTree): readers announce on their
-	// locale's subtree leaves, and a resize needs a single combining-tree
-	// Synchronize per publication step instead of one flat rendezvous per
-	// locale. Ignored under VariantQSBR; mutually exclusive with FlatEBR
-	// (FlatEBR wins, as the paper baseline).
-	TreeEBR bool
 	// RegionBlocks is the region width in blocks for the two-level
 	// directory + region-table metadata (see snapshot.go): resizes
 	// publish per-region tables, so install work and its grace periods
@@ -164,9 +156,6 @@ type Array[T any] struct {
 	writeLock *locale.GlobalLock
 	elemSize  int
 	o         *arrayObs
-	// sharedDom is the cluster-wide hierarchical EBR domain when
-	// Options.TreeEBR is set; nil means per-locale domains.
-	sharedDom *ebr.Domain
 }
 
 // New creates an array distributed over the task's cluster. Construction
@@ -175,13 +164,8 @@ type Array[T any] struct {
 func New[T any](t *locale.Task, opts Options) *Array[T] {
 	opts = opts.withDefaults()
 	c := t.Cluster()
-	var shared *ebr.Domain
-	if opts.TreeEBR && !opts.FlatEBR && opts.Variant != VariantQSBR {
-		shared = ebr.NewTree(c.NumLocales(), c.WorkersPerLocale())
-		shared.Observe(c.Obs())
-	}
 	pid := locale.Privatize(t, func(loc *locale.Locale) any {
-		return newInstance[T](loc, opts, shared)
+		return newInstance[T](loc, opts)
 	})
 	var zero T
 	a := &Array[T]{
@@ -191,7 +175,6 @@ func New[T any](t *locale.Task, opts Options) *Array[T] {
 		writeLock: c.NewGlobalLock(0),
 		elemSize:  int(unsafe.Sizeof(zero)),
 		o:         newArrayObs(c),
-		sharedDom: shared,
 	}
 	if opts.InitialCapacity > 0 {
 		a.Grow(t, opts.InitialCapacity)
@@ -273,7 +256,7 @@ func (a *Array[T]) Index(t *locale.Task, idx int) Ref[T] {
 		s.CheckLive()
 		return a.refAt(s, idx)
 	}
-	g := inst.dom.EnterSlot(inst.slotOf(t))
+	g := inst.dom.EnterSlot(t.Slot())
 	defer g.Exit()
 	s := inst.snap.Load()
 	a.yield(PointIndexSnapLoaded)
@@ -307,7 +290,7 @@ func (a *Array[T]) Len(t *locale.Task) int {
 	if a.opts.Variant == VariantQSBR {
 		return inst.snap.Load().capacity(a.opts.BlockSize)
 	}
-	g := inst.dom.EnterSlot(inst.slotOf(t))
+	g := inst.dom.EnterSlot(t.Slot())
 	defer g.Exit()
 	return inst.snap.Load().capacity(a.opts.BlockSize)
 }
@@ -322,7 +305,7 @@ func (a *Array[T]) Regions(t *locale.Task) int {
 	if a.opts.Variant == VariantQSBR {
 		return len(inst.snap.Load().regions)
 	}
-	g := inst.dom.EnterSlot(inst.slotOf(t))
+	g := inst.dom.EnterSlot(t.Slot())
 	defer g.Exit()
 	return len(inst.snap.Load().regions)
 }

@@ -48,7 +48,7 @@ func (a *Array[T]) blocksFor(t *locale.Task, lo, n int) []*memory.Block[T] {
 	if a.opts.Variant == VariantQSBR {
 		return capture()
 	}
-	g := inst.dom.EnterSlot(inst.slotOf(t))
+	g := inst.dom.EnterSlot(t.Slot())
 	defer g.Exit()
 	return capture()
 }
@@ -157,7 +157,7 @@ func (a *Array[T]) LocalBlocks(t *locale.Task, fn func(start int, data []T)) {
 	// unlike single-element refs, fn receives raw slices whose blocks a
 	// concurrent Shrink could free. The exit is deferred so a panicking
 	// fn (or a tripped poison check) cannot leak the reader counter.
-	g := inst.dom.EnterSlot(inst.slotOf(t))
+	g := inst.dom.EnterSlot(t.Slot())
 	defer g.Exit()
 	visit()
 }

@@ -15,19 +15,10 @@ import (
 // readers/updaters touch only their own locale's instance plus the blocks
 // they index into.
 type instance[T any] struct {
-	// dom carries GlobalEpoch and EpochReaders for the EBR variant. With
-	// Options.TreeEBR it is the *cluster-shared* hierarchical domain (one
-	// combining tree whose per-locale subtrees this locale's readers
-	// announce into); otherwise it is private to the locale, striped over
-	// the locale's task slots unless Options.FlatEBR pins the paper's
-	// exact two-counter layout.
+	// dom carries GlobalEpoch and EpochReaders for the EBR variant. It is
+	// private to the locale, striped over the locale's task slots unless
+	// Options.FlatEBR pins the paper's exact two-counter layout.
 	dom *ebr.Domain
-	// treeShared records that dom is the cluster-wide tree: reader slots
-	// must then be mapped through LeafFor so each locale stays inside its
-	// own subtree.
-	treeShared bool
-	// here is the owning locale's id (the LeafFor locale coordinate).
-	here int
 	// snap is the GlobalSnapshot pointer — now the region directory.
 	snap atomic.Pointer[snapshot[T]]
 	// nextLocaleID is the round-robin cursor for block placement. It is
@@ -43,38 +34,23 @@ type instance[T any] struct {
 	regionStats memory.Stats
 }
 
-func newInstance[T any](loc *locale.Locale, opts Options, shared *ebr.Domain) *instance[T] {
-	dom := shared
-	if dom == nil {
-		dom = ebr.NewStriped(loc.Cluster().WorkersPerLocale())
-		if opts.FlatEBR {
-			dom = ebr.NewFlat()
-		}
-		// Grace-period metrics land in the owning cluster's registry, next
-		// to the resize-phase histograms, not in the process-global
-		// default. (The shared tree domain was Observed once by New.)
-		dom.Observe(loc.Cluster().Obs())
+func newInstance[T any](loc *locale.Locale, opts Options) *instance[T] {
+	stripes := loc.Cluster().WorkersPerLocale()
+	if opts.FlatEBR {
+		stripes = 1
 	}
+	dom := ebr.NewStriped(stripes)
+	// Grace-period metrics land in the owning cluster's registry, next to
+	// the resize-phase histograms, not in the process-global default.
+	dom.Observe(loc.Cluster().Obs())
 	inst := &instance[T]{
-		dom:        dom,
-		treeShared: shared != nil,
-		here:       loc.ID(),
-		pool:       memory.NewPool[T](loc.ID(), opts.BlockSize, loc.MemStats()),
+		dom:  dom,
+		pool: memory.NewPool[T](loc.ID(), opts.BlockSize, loc.MemStats()),
 	}
 	first := &snapshot[T]{regionBlocks: opts.RegionBlocks}
 	inst.snapStats.NoteAlloc(false)
 	inst.snap.Store(first)
 	return inst
-}
-
-// slotOf maps the task to the reader-counter slot it announces on: the raw
-// task slot for a private domain, or this locale's tree leaf for the shared
-// hierarchical domain.
-func (inst *instance[T]) slotOf(t *locale.Task) int {
-	if inst.treeShared {
-		return inst.dom.LeafFor(inst.here, t.Slot())
-	}
-	return t.Slot()
 }
 
 // newRegion wraps blocks in a fresh region table (taking ownership of the

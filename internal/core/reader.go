@@ -67,7 +67,7 @@ func (a *Array[T]) Reader(t *locale.Task) Reader[T] {
 	r := Reader[T]{a: a, t: t, ebr: a.opts.Variant != VariantQSBR, open: true, blockIdx: -1}
 	if r.ebr {
 		inst := a.inst(t)
-		r.pin = inst.dom.Pin(inst.slotOf(t), a.opts.PinBudget)
+		r.pin = inst.dom.Pin(t.Slot(), a.opts.PinBudget)
 	}
 	r.resolve()
 	return r

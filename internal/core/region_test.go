@@ -2,8 +2,8 @@ package core
 
 // Tests for the two-level directory + region-table metadata introduced with
 // the incremental per-region install: directory shape, region-table
-// lifecycle, the deterministic region-event stream, and the TreeEBR shared
-// hierarchical domain wired through a real array.
+// lifecycle, the deterministic region-event stream, and the striped and flat
+// EBR layouts wired through a real array.
 
 import (
 	"fmt"
@@ -210,17 +210,16 @@ func TestRegionEventStreamSeedReplay(t *testing.T) {
 	}
 }
 
-// TreeEBR end to end: a real array on the cluster-shared hierarchical
-// domain serves concurrent reads and resizes with the same semantics as the
-// per-locale flat domains, and its grace periods run through the one shared
-// domain.
-func TestTreeEBRArrayEndToEnd(t *testing.T) {
+// The default striped per-locale domains end to end: a real array on a
+// 4x2 cluster serves concurrent reads under 8 grows and 4 shrinks, and its
+// grace periods run through the locales' own domains.
+func TestStripedEBRArrayEndToEnd(t *testing.T) {
 	c := newTestCluster(t, 4, 2)
 	c.Run(func(task *locale.Task) {
 		const bs = 8
-		a := New[int64](task, Options{BlockSize: bs, Variant: VariantEBR, TreeEBR: true, InitialCapacity: 4 * bs})
-		if a.sharedDom == nil || !a.sharedDom.IsTree() {
-			t.Fatal("TreeEBR array did not build a shared tree domain")
+		a := New[int64](task, Options{BlockSize: bs, Variant: VariantEBR, InitialCapacity: 4 * bs})
+		if got := domainStripes(a, c); fmt.Sprint(got) != "[2 2 2 2]" {
+			t.Fatalf("per-locale stripes = %v, want 2 (WorkersPerLocale) on each of 4 locales", got)
 		}
 		// Seed the stable prefix — the shrinks below never remove it, so
 		// the concurrent readers stay clear of legitimately-poisoned tail
@@ -256,30 +255,40 @@ func TestTreeEBRArrayEndToEnd(t *testing.T) {
 		stop.Store(true)
 		<-done
 		if bad.Load() != 0 {
-			t.Fatalf("%d corrupt reads under TreeEBR", bad.Load())
+			t.Fatalf("%d corrupt reads under concurrent resizes", bad.Load())
 		}
 		if got := a.Len(task); got != 8*bs {
 			t.Fatalf("Len = %d, want %d", got, 8*bs)
 		}
 		_, syncs := a.EBRStats(c)
 		if syncs == 0 {
-			t.Fatal("no Synchronize recorded on the shared tree domain")
+			t.Fatal("no Synchronize recorded on the per-locale domains")
 		}
 	})
 }
 
-// TreeEBR and the default striped per-locale domains agree on a seeded
-// deterministic workload: same final contents, same capacities, and the
-// tree array survives the same stale-reference poison semantics.
-func TestTreeFlatArrayEquivalence(t *testing.T) {
+// domainStripes returns each locale's EBR reader-stripe count, by locale id.
+func domainStripes[T any](a *Array[T], c *locale.Cluster) []int {
+	out := make([]int, c.NumLocales())
+	locale.EachPrivatized[*instance[T]](c, a.pid, func(l *locale.Locale, inst *instance[T]) {
+		out[l.ID()] = inst.dom.Stripes()
+	})
+	return out
+}
+
+// The default striped domains and FlatEBR (the paper's two-counter layout)
+// agree on a seeded deterministic workload: same final contents and the
+// same capacities.
+func TestStripedFlatArrayEquivalence(t *testing.T) {
 	type arm struct {
-		name string
-		opts Options
+		name    string
+		opts    Options
+		stripes string
 	}
 	const bs = 4
 	arms := []arm{
-		{"flat", Options{BlockSize: bs, Variant: VariantEBR}},
-		{"tree", Options{BlockSize: bs, Variant: VariantEBR, TreeEBR: true}},
+		{"striped", Options{BlockSize: bs, Variant: VariantEBR}, "[2 2]"},
+		{"flat", Options{BlockSize: bs, Variant: VariantEBR, FlatEBR: true}, "[1 1]"},
 	}
 	results := make(map[string]string)
 	for _, ar := range arms {
@@ -287,6 +296,9 @@ func TestTreeFlatArrayEquivalence(t *testing.T) {
 		var log strings.Builder
 		c.Run(func(task *locale.Task) {
 			a := New[int](task, ar.opts)
+			if got := fmt.Sprint(domainStripes(a, c)); got != ar.stripes {
+				t.Fatalf("%s arm: per-locale stripes = %s, want %s", ar.name, got, ar.stripes)
+			}
 			rng := uint64(0x9E3779B97F4A7C15)
 			next := func() uint64 { rng ^= rng << 13; rng ^= rng >> 7; rng ^= rng << 17; return rng }
 			for step := 0; step < 60; step++ {
@@ -296,12 +308,7 @@ func TestTreeFlatArrayEquivalence(t *testing.T) {
 				case next()%8 == 0 && n > bs:
 					a.Shrink(task, bs)
 				default:
-					idx := int(next()) & (n - 1) // n is a power-of-two multiple of bs=4... not guaranteed; clamp below
-					if idx < 0 {
-						idx = -idx
-					}
-					idx %= n
-					a.Store(task, idx, step)
+					a.Store(task, int(next()%uint64(n)), step)
 				}
 			}
 			n := a.Len(task)
@@ -313,8 +320,8 @@ func TestTreeFlatArrayEquivalence(t *testing.T) {
 		c.Shutdown()
 		results[ar.name] = log.String()
 	}
-	if results["flat"] != results["tree"] {
-		t.Fatalf("tree/flat arrays diverged on the seeded workload:\nflat: %s\ntree: %s",
-			results["flat"], results["tree"])
+	if results["striped"] != results["flat"] {
+		t.Fatalf("striped/flat arrays diverged on the seeded workload:\nstriped: %s\nflat: %s",
+			results["striped"], results["flat"])
 	}
 }

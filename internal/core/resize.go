@@ -12,12 +12,8 @@ import (
 // it unpublished — then separates publication from retirement with the
 // variant's grace discipline:
 //
-//   - EBR, private domains: each locale synchronizes its own domain inside
-//     the coforall and retires immediately after (the paper's per-locale
-//     RCU_Write tail).
-//   - EBR, shared tree domain: the flips happen per locale, then the
-//     initiator runs ONE cluster-wide Synchronize — a single fold of the
-//     combining tree replaces NumLocales flat rendezvous — and retires.
+//   - EBR: each locale synchronizes its own domain inside the coforall and
+//     retires immediately after (the paper's per-locale RCU_Write tail).
 //   - QSBR: no synchronize; each locale defers its retirement to the
 //     runtime's quiescence detection.
 //
@@ -25,37 +21,22 @@ import (
 // unpublished, so grows may proceed to the next region and shrinks may free
 // blocks.
 func (a *Array[T]) publishAll(t *locale.Task, apply func(sub *locale.Task, inst *instance[T]) func()) {
-	switch {
-	case a.opts.Variant == VariantQSBR:
+	if a.opts.Variant == VariantQSBR {
 		t.Coforall(func(sub *locale.Task) {
 			if retire := apply(sub, a.inst(sub)); retire != nil {
 				sub.QSBR().Defer(retire)
 			}
 		})
-	case a.sharedDom != nil:
-		retires := make([]func(), a.cluster.NumLocales())
-		t.Coforall(func(sub *locale.Task) {
-			retires[sub.Here().ID()] = apply(sub, a.inst(sub))
-		})
-		// One hierarchical grace period covers every locale's flip: the
-		// tree fold visits only undrained subtrees (O(log locales) steady
-		// state) where the flat layout would re-sum every locale's stripes.
-		a.sharedDom.Synchronize()
-		for _, retire := range retires {
-			if retire != nil {
-				retire()
-			}
-		}
-	default:
-		t.Coforall(func(sub *locale.Task) {
-			inst := a.inst(sub)
-			retire := apply(sub, inst)
-			inst.dom.Synchronize()
-			if retire != nil {
-				retire()
-			}
-		})
+		return
 	}
+	t.Coforall(func(sub *locale.Task) {
+		inst := a.inst(sub)
+		retire := apply(sub, inst)
+		inst.dom.Synchronize()
+		if retire != nil {
+			retire()
+		}
+	})
 }
 
 // Grow expands the array by at least additional elements (rounded up to a
@@ -390,18 +371,14 @@ func (a *Array[T]) BlockDistribution(t *locale.Task) []int {
 	if a.opts.Variant == VariantQSBR {
 		tally()
 	} else {
-		inst.dom.ReadSlot(inst.slotOf(t), tally)
+		inst.dom.ReadSlot(t.Slot(), tally)
 	}
 	return counts
 }
 
-// EBRStats returns (retries, synchronizes) summed over the array's domains —
-// per-locale for private domains, the single shared tree otherwise — for the
-// ablation benchmarks. Zero for QSBR arrays.
+// EBRStats returns (retries, synchronizes) summed over the array's
+// per-locale domains, for the ablation benchmarks. Zero for QSBR arrays.
 func (a *Array[T]) EBRStats(c *locale.Cluster) (retries, synchronizes uint64) {
-	if a.sharedDom != nil {
-		return a.sharedDom.Retries(), a.sharedDom.Synchronizes()
-	}
 	locale.EachPrivatized[*instance[T]](c, a.pid, func(_ *locale.Locale, inst *instance[T]) {
 		retries += inst.dom.Retries()
 		synchronizes += inst.dom.Synchronizes()

@@ -51,7 +51,7 @@ func BenchmarkEnterExitContended(b *testing.B) {
 		mk   func() *Domain
 		slot func(r int) int
 	}{
-		{"flat", NewFlat, func(int) int { return 0 }},
+		{"flat", func() *Domain { return NewStriped(1) }, func(int) int { return 0 }},
 		{"striped", New, func(r int) int { return r }},
 	} {
 		for _, readers := range []int{2, 8} {

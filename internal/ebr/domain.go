@@ -62,21 +62,14 @@ type Domain struct {
 	// o is the observability destination installed by Observe; nil means
 	// the process-global default (see obs.go).
 	o atomic.Pointer[domainObs]
-	// tree, when non-nil, replaces the flat readers array with the
-	// hierarchical (combining-tree) counter layout of tree.go. Set only at
-	// construction; nil — including in the zero value — keeps the paper's
-	// flat rendezvous as the baseline.
-	tree *tree
 
 	// Watchdog state (watchdog.go), written only while observability is on.
 	// syncStart is the wall-clock nanosecond at which an in-flight
 	// Synchronize advanced the epoch (0 = none in flight); syncParity is the
 	// parity it is waiting out. lastEntry[parity][stripe] is the most recent
-	// reader annotation on that cell — packed (slot, site) — stored with one
-	// plain atomic write at Enter so the watchdog can name the culprit of a
-	// stalled grace period without the read path ever taking a timestamp.
-	// Tree leaves beyond MaxStripes fold onto the annotation array modulo
-	// MaxStripes: the annotation is diagnostic, not part of the protocol.
+	// reader annotation on that stripe — packed (slot, site) — stored with
+	// one plain atomic write at Enter so the watchdog can name the culprit of
+	// a stalled grace period without the read path ever taking a timestamp.
 	syncStart  atomic.Int64
 	syncParity atomic.Uint64
 	lastEntry  [2][MaxStripes]atomic.Uint64
@@ -108,20 +101,17 @@ func siteName(site uint64) string {
 // annotation valid, bits 1–2 the site, the rest the slot. One plain atomic
 // store, no timestamp — cheap enough to run on every traced Enter.
 func (d *Domain) annotate(idx, stripe uint64, slot int, site uint64) {
-	d.lastEntry[idx][stripe&(MaxStripes-1)].Store(uint64(slot)<<3 | site<<1 | 1)
+	d.lastEntry[idx][stripe].Store(uint64(slot)<<3 | site<<1 | 1)
 }
 
 // New returns a domain with DefaultStripes reader stripes and the epoch
 // starting at zero.
 func New() *Domain { return NewStriped(DefaultStripes) }
 
-// NewFlat returns a domain with a single reader-counter pair — the paper's
-// exact Algorithm 1 layout. The A/B benchmarks use it as the baseline.
-func NewFlat() *Domain { return &Domain{} }
-
 // NewStriped returns a domain whose per-parity reader counter is striped
 // over n cache lines (rounded up to a power of two, clamped to
-// [1, MaxStripes]).
+// [1, MaxStripes]). NewStriped(1), like the zero value, is the paper's exact
+// Algorithm 1 layout; the A/B benchmarks use it as the baseline.
 func NewStriped(n int) *Domain {
 	return &Domain{stripeMask: uint64(xsync.RoundPow2(n, MaxStripes) - 1)}
 }
@@ -135,19 +125,12 @@ func NewAtEpoch(e uint64) *Domain {
 	return d
 }
 
-// Stripes returns the number of reader counter cells per parity: flat
-// stripes, or tree leaves for hierarchical domains.
-func (d *Domain) Stripes() int {
-	if t := d.tree; t != nil {
-		return t.leaves
-	}
-	return int(d.stripeMask) + 1
-}
+// Stripes returns the number of reader counter stripes per parity.
+func (d *Domain) Stripes() int { return int(d.stripeMask) + 1 }
 
 // Guard is the evidence of a successfully linearized read-side critical
-// section. It records the exact counter cell the reader incremented — a flat
-// stripe or a tree leaf — so that Exit decrements the same one even if the
-// epoch has advanced meanwhile.
+// section. It records the exact stripe the reader incremented, so that Exit
+// decrements the same one even if the epoch has advanced meanwhile.
 type Guard struct {
 	d      *Domain
 	cell   *xsync.PaddedUint64
@@ -171,13 +154,6 @@ func (d *Domain) Enter() Guard { return d.EnterSlot(0) }
 // After EnterSlot returns, the snapshot that was current at the returned
 // guard's epoch — or any newer snapshot — may be accessed safely until Exit.
 func (d *Domain) EnterSlot(slot int) Guard {
-	if t := d.tree; t != nil {
-		g := d.enterTree(t, slot)
-		if obs.On() {
-			d.annotate(g.idx, g.stripe, slot, siteEnter)
-		}
-		return g
-	}
 	stripe := uint64(slot) & d.stripeMask
 	for {
 		epoch := d.globalEpoch.Load()
@@ -286,16 +262,10 @@ func (d *Domain) Synchronize() {
 		d.syncStart.Store(t0.UnixNano())
 	}
 	var stalls uint64
-	if t := d.tree; t != nil {
-		// Hierarchical rendezvous: fold the combining tree (tree.go)
-		// instead of re-summing every stripe on every pass.
-		stalls = t.foldTree(idx)
-	} else {
-		var b xsync.Backoff
-		for d.sumStripes(idx) != 0 {
-			b.Wait()
-			stalls++
-		}
+	var b xsync.Backoff
+	for d.sumStripes(idx) != 0 {
+		b.Wait()
+		stalls++
 	}
 	if o != nil {
 		d.syncStart.Store(0)
@@ -304,12 +274,8 @@ func (d *Domain) Synchronize() {
 	}
 }
 
-// sumStripes returns one pass over parity idx's stripes (or, for tree
-// domains, leaves — diagnostics only; Synchronize uses foldTree).
+// sumStripes returns one pass over parity idx's stripes.
 func (d *Domain) sumStripes(idx uint64) uint64 {
-	if t := d.tree; t != nil {
-		return t.sumTree(idx)
-	}
 	var total uint64
 	for s := uint64(0); s <= d.stripeMask; s++ {
 		total += d.readers[idx][s].Load()
@@ -324,12 +290,9 @@ func (d *Domain) Epoch() uint64 { return d.globalEpoch.Load() }
 // reader counter. It is a diagnostic: the value is immediately stale.
 func (d *Domain) ActiveReaders(idx uint64) uint64 { return d.sumStripes(idx & 1) }
 
-// StripeReaders returns the current value of one stripe (or tree leaf) of
-// the parity-idx counter (diagnostics and striping tests).
+// StripeReaders returns the current value of one stripe of the parity-idx
+// counter (diagnostics and striping tests).
 func (d *Domain) StripeReaders(idx uint64, stripe int) uint64 {
-	if t := d.tree; t != nil {
-		return t.cnt[idx&1][uint64(stripe)&t.leafMask].Load()
-	}
 	return d.readers[idx&1][uint64(stripe)&d.stripeMask].Load()
 }
 

@@ -2,11 +2,23 @@ package ebr
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	"rcuarray/internal/check"
 )
+
+// awaitAdvance blocks until a Synchronize Begun on another task has moved
+// dom's epoch past before. StillRunning alone only shows that the writer has
+// not returned: under load its goroutine may not have run at all, and a
+// reader that enters or repins before the advance lands on the very parity
+// the writer then waits out.
+func awaitAdvance(dom *Domain, before uint64) {
+	for dom.Epoch() == before {
+		runtime.Gosched()
+	}
+}
 
 // TestLincheckParityBlocksAcrossOverflow is the deterministic-schedule
 // version of the overflow coverage: where TestReclamationAcrossOverflow
@@ -53,6 +65,7 @@ func TestLincheckParityBlocksAcrossOverflow(t *testing.T) {
 			dom.Synchronize()
 			freed = true
 		})
+		awaitAdvance(dom, before)
 		if !d.StillRunning(1, 2*time.Millisecond) {
 			t.Fatalf("round %d (epoch %d): Synchronize completed past a reader mid-critical-section", r, before)
 		}
@@ -136,6 +149,7 @@ func TestLincheckStripeSummation(t *testing.T) {
 	d.Begin(writer, check.Op{Kind: "sync"}, func(*check.Op) {
 		dom.Synchronize()
 	})
+	awaitAdvance(dom, 0)
 
 	// Release in reverse stripe order so the summation pass repeatedly sees
 	// zeros on high stripes while a low stripe is still occupied.
@@ -187,24 +201,27 @@ func TestLincheckPinnedRepinHandsOffGrace(t *testing.T) {
 	defer d.Close()
 
 	step := make(chan struct{})
-	repinned := make(chan struct{})
+	pinned := make(chan struct{}) // one send after Pin, one after Repin
 	d.Begin(0, check.Op{Kind: "pin"}, func(*check.Op) {
 		p := dom.Pin(1, 1<<20) // budget never reached; repins are explicit
+		pinned <- struct{}{}
 		<-step
 		p.Repin()
-		repinned <- struct{}{}
+		pinned <- struct{}{}
 		<-step
 		p.Unpin()
 	})
+	<-pinned
 
 	d.Begin(1, check.Op{Kind: "sync"}, func(*check.Op) {
 		dom.Synchronize()
 	})
+	awaitAdvance(dom, 0)
 	if !d.StillRunning(1, 2*time.Millisecond) {
 		t.Fatal("first Synchronize completed past a pinned session")
 	}
 	step <- struct{}{}
-	<-repinned
+	<-pinned
 	if sy := d.Await(1); sy.Panic != "" {
 		t.Fatalf("first Synchronize panicked: %s", sy.Panic)
 	}
@@ -214,6 +231,7 @@ func TestLincheckPinnedRepinHandsOffGrace(t *testing.T) {
 	d.Begin(1, check.Op{Kind: "sync"}, func(*check.Op) {
 		dom.Synchronize()
 	})
+	awaitAdvance(dom, 1)
 	if !d.StillRunning(1, 2*time.Millisecond) {
 		t.Fatal("second Synchronize completed past the repinned session")
 	}

@@ -38,18 +38,7 @@ var defaultDomainObs = makeDomainObs(obs.Default)
 // Observe redirects this domain's metrics into r — a dist node or a test
 // gives each domain its own registry this way. Call before the domain sees
 // concurrent use; it replaces the default process-global destination.
-//
-// For hierarchical domains it also publishes the tree shape as gauges
-// (ebr_tree_depth / ebr_tree_fanout / ebr_tree_leaves), so a metrics scrape
-// can tell which rendezvous layout a run used and how wide its fold was.
-func (d *Domain) Observe(r *obs.Registry) {
-	d.o.Store(makeDomainObs(r))
-	if d.tree != nil {
-		r.Gauge("ebr_tree_depth").Set(int64(d.TreeDepth()))
-		r.Gauge("ebr_tree_fanout").Set(int64(d.Fanout()))
-		r.Gauge("ebr_tree_leaves").Set(int64(d.TreeLeaves()))
-	}
-}
+func (d *Domain) Observe(r *obs.Registry) { d.o.Store(makeDomainObs(r)) }
 
 // obsHandles returns the domain's metric destination.
 func (d *Domain) obsHandles() *domainObs {

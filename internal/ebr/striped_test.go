@@ -16,9 +16,6 @@ func TestStripeSizing(t *testing.T) {
 			t.Errorf("NewStriped(%d).Stripes() = %d, want %d", c.n, got, c.want)
 		}
 	}
-	if got := NewFlat().Stripes(); got != 1 {
-		t.Errorf("NewFlat().Stripes() = %d, want 1", got)
-	}
 	var zero Domain
 	if got := zero.Stripes(); got != 1 {
 		t.Errorf("zero Domain Stripes() = %d, want 1", got)

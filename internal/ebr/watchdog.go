@@ -11,8 +11,8 @@ import (
 // reader entered before the epoch advance and never exited — a leaked guard,
 // an unbounded pinned session, a deadlocked handler. The watchdog samples the
 // domain's in-flight grace period and, once its age passes the threshold,
-// names the culprit: the stripe (or tree leaf) still holding the old parity
-// open, and the (slot, entry site) annotation its last reader stored.
+// names the culprit: the stripe still holding the old parity open, and the
+// (slot, entry site) annotation its last reader stored.
 //
 // False-positive discipline. The only signal is grace-period age, which is
 // inherently immune to slow-but-live readers: a reader that enters after the
@@ -177,7 +177,7 @@ func (w *Watchdog) fire(age int64) {
 		}
 		rep.Stripe = s
 		rep.Readers = c
-		if a := w.d.lastEntry[rep.Parity&1][uint64(s)&(MaxStripes-1)].Load(); a&1 != 0 {
+		if a := w.d.lastEntry[rep.Parity&1][s].Load(); a&1 != 0 {
 			rep.Slot = int(a >> 3)
 			rep.Site = siteName(a >> 1 & 3)
 		}

@@ -32,11 +32,6 @@ const (
 	// two-counter layout (no reader-counter striping) — the baseline of
 	// the striping ablation.
 	KindEBRFlat
-	// KindEBRTree is RCUArray under EBR with the cluster-shared
-	// combining-tree grace-period domain (hierarchical Synchronize fold;
-	// see internal/ebr/tree.go). The default KindEBR striped layout is
-	// the paper baseline it is compared against.
-	KindEBRTree
 )
 
 // String returns the paper's label for the kind.
@@ -54,8 +49,6 @@ func (k Kind) String() string {
 		return "RWLockArray"
 	case KindEBRFlat:
 		return "EBRArray-flat"
-	case KindEBRTree:
-		return "EBRArray-tree"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -63,7 +56,7 @@ func (k Kind) String() string {
 
 // ParseKind resolves a label (as printed by String) back to a Kind.
 func ParseKind(s string) (Kind, error) {
-	for _, k := range []Kind{KindEBR, KindQSBR, KindChapel, KindSync, KindRW, KindEBRFlat, KindEBRTree} {
+	for _, k := range []Kind{KindEBR, KindQSBR, KindChapel, KindSync, KindRW, KindEBRFlat} {
 		if k.String() == s {
 			return k, nil
 		}
@@ -142,7 +135,7 @@ func (c *coreSession) CacheStats() (uint64, uint64) { return c.rd.CacheStats() }
 // initial capacity (both in elements).
 func BuildTarget(task *locale.Task, k Kind, blockSize, initial int) Target {
 	switch k {
-	case KindEBR, KindQSBR, KindEBRFlat, KindEBRTree:
+	case KindEBR, KindQSBR, KindEBRFlat:
 		v := core.VariantEBR
 		if k == KindQSBR {
 			v = core.VariantQSBR
@@ -152,7 +145,6 @@ func BuildTarget(task *locale.Task, k Kind, blockSize, initial int) Target {
 			Variant:         v,
 			InitialCapacity: initial,
 			FlatEBR:         k == KindEBRFlat,
-			TreeEBR:         k == KindEBRTree,
 		})}
 	case KindChapel:
 		return baseline.NewUnsafe[int64](task, initial)
