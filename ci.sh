@@ -1,7 +1,10 @@
 #!/usr/bin/env sh
 # CI pipeline. Tiers are cumulative; run the highest tier you have time for.
 #
-#   ./ci.sh            tier-1   (build + vet + rcuvet + full test suite, then
+#   ./ci.sh            tier-1   (gofmt -l over tracked .go files outside
+#                                testdata/, failing with the file list when
+#                                it is non-empty; build + vet + rcuvet + full
+#                                test suite, then
 #                                vet + tests of the nested benchmark/ module; no
 #                                race detector; rcuvet is the in-repo static
 #                                analysis suite — see DESIGN.md "Static
@@ -20,8 +23,9 @@
 #                                the functional gates: a 3-node traced
 #                                workload must merge into a timeline with >= 1
 #                                cross-node flow arrow and 0 orphan spans; the
-#                                chaos seed list runs with stall watchdogs
-#                                armed gating false positives at 0; and the
+#                                chaos seed list runs with every node's EBR
+#                                stall watchdog (the one stall watchdog)
+#                                armed, gating false positives at 0; and the
 #                                induced stalled-reader round must fire
 #                                exactly one correctly-attributed warning
 #   ./ci.sh chaos      fault tier: rcutorture -chaos over a fixed seed list
@@ -53,6 +57,14 @@ versions() {
 
 tier1() {
 	versions tier-1
+	# Fixtures under testdata/ keep deliberate layouts, so they are not checked.
+	echo '--- tier-1: gofmt -l (tracked .go files outside testdata/)'
+	unformatted=$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)
+	if [ -n "$unformatted" ]; then
+		echo "$unformatted"
+		echo 'ci: gofmt -l lists the files above; format them with gofmt -w.' >&2
+		exit 1
+	fi
 	echo '--- tier-1: go build ./...'
 	go build ./...
 	echo '--- tier-1: go vet ./...'

@@ -1,6 +1,5 @@
 // Package guardpair checks the EBR/QSBR guard discipline: every read-side
-// guard acquired via ebr.Domain.Enter/EnterSlot (or prcu.Domain.Enter) must
-// be released by a `defer g.Exit()` in the acquiring function, so that a
+// guard acquired via ebr.Domain.Enter/EnterSlot must be released by a `defer g.Exit()` in the acquiring function, so that a
 // panic between Enter and Exit cannot leak the reader count and wedge every
 // later Synchronize. Guards must not escape the acquiring function: not
 // returned, not stored into struct fields or composite literals, not passed
@@ -13,7 +12,7 @@
 // of bug; this analyzer keeps the rest of the tree (and future growth) on
 // that discipline.
 //
-// The defining packages (ebr, prcu) are exempt: they implement the guard
+// The defining package (ebr) is exempt: it implements the guard
 // protocol itself, including the deliberate non-deferred exit in the
 // Enter retry loop and in Pinned.Repin.
 //
@@ -33,7 +32,7 @@ import (
 // Analyzer is the guardpair analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "guardpair",
-	Doc: "check that EBR/PRCU read-side guards are released via defer in the acquiring " +
+	Doc: "check that EBR read-side guards are released via defer in the acquiring " +
 		"function and never escape it, and that QSBR participants are not discarded",
 	Run: run,
 }
@@ -43,18 +42,13 @@ var Analyzer = &analysis.Analyzer{
 var guardSources = []struct{ pkg, recv, method string }{
 	{"ebr", "Domain", "Enter"},
 	{"ebr", "Domain", "EnterSlot"},
-	{"prcu", "Domain", "Enter"},
 }
 
-// exemptPkgs implement the guard protocol and are allowed to manipulate
-// guards structurally.
-var exemptPkgs = []string{"ebr", "prcu"}
-
 func run(pass *analysis.Pass) error {
-	for _, name := range exemptPkgs {
-		if analysis.PkgIs(pass.Pkg.Types, name) {
-			return nil
-		}
+	// ebr implements the guard protocol and may manipulate guards
+	// structurally.
+	if analysis.PkgIs(pass.Pkg.Types, "ebr") {
+		return nil
 	}
 	for _, file := range pass.Files() {
 		analysis.FuncScopes(file, func(node ast.Node, body *ast.BlockStmt) {
@@ -333,7 +327,7 @@ func checkScope(pass *analysis.Pass, body *ast.BlockStmt) {
 }
 
 // exitReceiver returns the object of g when call is g.Exit() on an
-// ebr.Guard or prcu.Guard local, else nil.
+// ebr.Guard local, else nil.
 func exitReceiver(info *types.Info, call *ast.CallExpr) types.Object {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Exit" {
@@ -343,7 +337,7 @@ func exitReceiver(info *types.Info, call *ast.CallExpr) types.Object {
 	if recv == nil {
 		return nil
 	}
-	if !analysis.NamedType(recv, "ebr", "Guard") && !analysis.NamedType(recv, "prcu", "Guard") {
+	if !analysis.NamedType(recv, "ebr", "Guard") {
 		return nil
 	}
 	return identObj(info, sel.X)

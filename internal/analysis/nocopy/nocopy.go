@@ -7,7 +7,7 @@
 //     contract IS the analyzer configuration, so marking a new type is one
 //     comment, not an analyzer change (ebr.Domain, ebr.Pinned, core.Reader,
 //     ... already carry the phrase);
-//   - it is a read-side guard (ebr.Guard, prcu.Guard): a copied guard
+//   - it is a read-side guard (ebr.Guard): a copied guard
 //     shares the stripe counter but not the double-exit latch, so exiting
 //     both the original and the copy silently corrupts the reader count —
 //     the exact failure Guard.Exit's underflow panic exists to catch;
@@ -43,7 +43,6 @@ var Analyzer = &analysis.Analyzer{
 // guardTypes are non-copyable regardless of doc comments.
 var guardTypes = []struct{ pkg, name string }{
 	{"ebr", "Guard"},
-	{"prcu", "Guard"},
 }
 
 // stdNoCopy lists standard-library types that poison containers. (Direct

@@ -4,7 +4,6 @@ package guardpair_clean
 
 import (
 	"ebr"
-	"prcu"
 	"qsbr"
 )
 
@@ -30,13 +29,6 @@ func deferredClosure(d *ebr.Domain, work func(), done func()) {
 		g.Exit()
 		done()
 	}()
-	work()
-}
-
-// predGuard follows the same discipline for PRCU guards.
-func predGuard(d *prcu.Domain, pred uint64, work func()) {
-	g := d.Enter(pred)
-	defer g.Exit()
 	work()
 }
 

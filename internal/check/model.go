@@ -114,7 +114,7 @@ func VectorModel() Model {
 				if op.Out != s[len(s)-1] {
 					return false, state
 				}
-				return true, s[:len(s)-1:len(s)-1]
+				return true, s[: len(s)-1 : len(s)-1]
 			case KindAt:
 				ok := op.Idx >= 0 && op.Idx < len(s) && op.Out == s[op.Idx]
 				return ok, s

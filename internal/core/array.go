@@ -7,6 +7,7 @@ import (
 	"rcuarray/internal/locale"
 	"rcuarray/internal/memory"
 	"rcuarray/internal/obs"
+	"rcuarray/internal/region"
 )
 
 // Variant selects the reclamation algorithm, mirroring the paper's
@@ -51,8 +52,8 @@ type Options struct {
 	// RegionBlocks is the region width in blocks for the two-level
 	// directory + region-table metadata (see snapshot.go): resizes
 	// publish per-region tables, so install work and its grace periods
-	// scale with the touched regions, not the whole array. Defaults to
-	// DefaultRegionBlocks.
+	// scale with the touched regions, not the whole array. Zero or negative
+	// selects region.DefaultBlocks.
 	RegionBlocks int
 	// PinBudget is the operation budget of a pinned read session (see
 	// Reader) before it repins, bounding writer wait. Defaults to
@@ -132,16 +133,12 @@ func (a *Array[T]) regionEvent(ev RegionEvent) {
 	}
 }
 
-// DefaultRegionBlocks is the region width, in blocks, used when Options does
-// not set one.
-const DefaultRegionBlocks = 8
-
 func (o Options) withDefaults() Options {
 	if o.BlockSize <= 0 {
 		o.BlockSize = 1024
 	}
 	if o.RegionBlocks <= 0 {
-		o.RegionBlocks = DefaultRegionBlocks
+		o.RegionBlocks = region.DefaultBlocks
 	}
 	return o
 }

@@ -229,7 +229,7 @@ func TestLincheckMidInstallRegionRead(t *testing.T) {
 				tg := []arrayTarget{{a, lts[0]}, {a, lts[1]}, {a, lts[2]}}
 
 				// One block committed and populated; the next grow straddles
-				// the region boundary (1 % DefaultRegionBlocks != 0).
+				// the region boundary (1 % region.DefaultBlocks != 0).
 				d.Do(1, check.Op{Kind: check.KindGrow, Idx: 1}, func(op *check.Op) { tg[1].GrowBlocks(op.Idx) })
 				d.Do(1, check.Op{Kind: check.KindStore, Idx: 3, Arg: 7}, func(op *check.Op) { tg[1].Store(op.Idx, op.Arg) })
 

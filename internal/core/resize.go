@@ -5,6 +5,7 @@ import (
 
 	"rcuarray/internal/locale"
 	"rcuarray/internal/memory"
+	"rcuarray/internal/region"
 )
 
 // publishAll runs one region-level publication step on every locale — apply
@@ -109,14 +110,13 @@ func (a *Array[T]) Grow(t *locale.Task, additional int) {
 	// the writer its grace period") depends on that — while the flipped
 	// region is still a separate publication step the lincheck schedules
 	// can park between.
+	steps := region.Plan(oldN, newN, rb)
 	fill := 0
 	var oldBoundary []*regionTable[T]
-	if oldN%rb != 0 {
-		boundary := oldN / rb
-		fill = rb - oldN%rb
-		if fill > nBlocks {
-			fill = nBlocks
-		}
+	if first := steps[0]; first.Lo%rb != 0 {
+		boundary := first.Lo / rb
+		fill = first.Hi - first.Lo
+		steps = steps[1:]
 		oldBoundary = make([]*regionTable[T], a.cluster.NumLocales())
 		rs.begin(a.o.nRegionFlip)
 		t.Coforall(func(sub *locale.Task) {
@@ -136,24 +136,19 @@ func (a *Array[T]) Grow(t *locale.Task, additional int) {
 		a.yield(PointInstallRegionFlipped)
 	}
 
-	// Step 4: publish the wider directory (new cells for remaining blocks);
-	// the grace period then retires the old directory and, if step 3
+	// Step 4: publish the wider directory (one new cell per remaining plan
+	// step); the grace period then retires the old directory and, if step 3
 	// flipped, the old boundary table — any reader that could hold either
 	// entered before this publication and is covered by the one grace.
-	rest := newBlocks[fill:]
 	rs.begin(a.o.nInstall)
 	a.publishAll(t, func(sub *locale.Task, inst *instance[T]) func() {
 		ls := rs.localeSpan(a.o, sub, a.o.nInstall)
 		old := inst.snap.Load()
 		nd := &snapshot[T]{nBlocks: newN, regionBlocks: rb}
-		nd.regions = append(make([]*regionCell[T], 0, nRegions(newN, rb)), old.regions...)
-		for i := 0; i < len(rest); i += rb {
-			hi := i + rb
-			if hi > len(rest) {
-				hi = len(rest)
-			}
+		nd.regions = append(make([]*regionCell[T], 0, region.Count(newN, rb)), old.regions...)
+		for _, s := range steps {
 			cell := &regionCell[T]{}
-			cell.p.Store(inst.newRegion(append([]*memory.Block[T](nil), rest[i:hi]...)))
+			cell.p.Store(inst.newRegion(append([]*memory.Block[T](nil), newBlocks[s.Lo-oldN:s.Hi-oldN]...)))
 			nd.regions = append(nd.regions, cell)
 		}
 		inst.snapStats.NoteAlloc(false)
@@ -172,7 +167,7 @@ func (a *Array[T]) Grow(t *locale.Task, additional int) {
 		}
 	})
 	rs.end(a.o.nInstall, a.o.installNs)
-	a.regionEvent(RegionEvent{Op: "grow", Kind: "dir", Region: nRegions(newN, rb), NBlocks: newN})
+	a.regionEvent(RegionEvent{Op: "grow", Kind: "dir", Region: region.Count(newN, rb), NBlocks: newN})
 	a.yield(PointInstallDirPublished)
 	rs.finish(a.o.nGrow)
 }
@@ -223,8 +218,8 @@ func (a *Array[T]) Shrink(t *locale.Task, removed int) {
 	// batch-retires its orphaned metadata. After the coforall, no new
 	// reader can reach the victim blocks, and under EBR no old reader
 	// remains either.
-	keepRegions := nRegions(keep, rb)
-	orphans := nRegions(cur.nBlocks, rb) - keepRegions
+	keepRegions := region.Count(keep, rb)
+	orphans := region.Count(cur.nBlocks, rb) - keepRegions
 	if keep%rb != 0 {
 		orphans++ // the old boundary table, replaced by a truncated one
 	}

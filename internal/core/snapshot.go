@@ -113,6 +113,3 @@ func (s *snapshot[T]) isPrefixOf(t *snapshot[T]) bool {
 	}
 	return true
 }
-
-// nRegions returns how many regions cover n blocks at width rb.
-func nRegions(n, rb int) int { return (n + rb - 1) / rb }

@@ -106,7 +106,7 @@ func TestGoldenResizeTrace(t *testing.T) {
 	// lock and installs once per locale plus one outer install span on the
 	// initiator; only grows allocate, only shrinks free. One-block grows
 	// flip the boundary region whenever the pre-grow block count is off a
-	// region boundary (oldN % DefaultRegionBlocks != 0 for oldN = 0..11
+	// region boundary (oldN % region.DefaultBlocks != 0 for oldN = 0..11
 	// gives 10 flips), each with a region-index instant on the initiator's
 	// track; shrinks batch retirements and never flip.
 	const flips = 10

@@ -9,6 +9,7 @@ import (
 
 	"rcuarray/internal/comm"
 	"rcuarray/internal/obs"
+	"rcuarray/internal/region"
 	"rcuarray/internal/xsync"
 )
 
@@ -40,9 +41,8 @@ type Options struct {
 	Seed uint64
 	// RegionBlocks is the per-region granularity of incremental installs:
 	// a Grow publishes its new table one region of this many blocks at a
-	// time, each flip under its own grace period on every node (8).
-	// Negative disables region-splitting — installs publish in one step,
-	// the paper's flat baseline.
+	// time, each flip under its own grace period on every node (8, also
+	// when negative).
 	RegionBlocks int
 	// Faults injects seeded connection faults into every driver
 	// connection, keyed by node index; Part is the partition switch.
@@ -82,15 +82,11 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.RegionBlocks == 0 {
-		o.RegionBlocks = DefaultRegionBlocks
+	if o.RegionBlocks <= 0 {
+		o.RegionBlocks = region.DefaultBlocks
 	}
 	return o
 }
-
-// DefaultRegionBlocks is the install region granularity when
-// Options.RegionBlocks is zero, matching the in-process array's default.
-const DefaultRegionBlocks = 8
 
 // Driver orchestrates a distributed RCUArray: it holds the authoritative
 // block table, performs resizes with the cluster WriteLock lease protocol,
@@ -572,26 +568,12 @@ func (d *Driver) Grow(additional int) error {
 }
 
 // regionPlan splits a grow's new blocks [oldLen, newLen) into the region
-// steps an incremental install publishes one at a time: each step ends on a
-// RegionBlocks boundary (the first step tops the straddled region off), the
-// last lands on the full table. A plan of one step — including the flat
-// baseline selected by a negative RegionBlocks — is sent as nil: one region
-// is a single-step install, and the empty encoding keeps those frames
-// byte-identical to the pre-region protocol.
-func (d *Driver) regionPlan(oldLen, newLen int) []RegionRange {
-	rb := d.opts.RegionBlocks
-	if rb <= 0 || newLen-oldLen <= 1 {
-		return nil
-	}
-	var plan []RegionRange
-	for start := oldLen; start < newLen; {
-		hi := (start/rb + 1) * rb
-		if hi > newLen {
-			hi = newLen
-		}
-		plan = append(plan, RegionRange{Lo: uint32(start), Hi: uint32(hi)})
-		start = hi
-	}
+// steps an incremental install publishes one at a time (region.Plan). A plan
+// of one step is sent as nil: one region is a single-step install, and the
+// empty encoding keeps those frames byte-identical to the pre-region
+// protocol.
+func (d *Driver) regionPlan(oldLen, newLen int) []region.Step {
+	plan := region.Plan(oldLen, newLen, d.opts.RegionBlocks)
 	if len(plan) == 1 {
 		return nil
 	}

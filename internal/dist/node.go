@@ -14,6 +14,7 @@ import (
 	"rcuarray/internal/ebr"
 	"rcuarray/internal/memory"
 	"rcuarray/internal/obs"
+	"rcuarray/internal/region"
 	"rcuarray/internal/workload"
 )
 
@@ -487,24 +488,6 @@ func (n *ArrayNode) pruneAllocsLocked(fence uint64, table []BlockRef) {
 	}
 }
 
-// validateRegions checks an install's region plan: non-empty contiguous
-// steps whose final publication lands exactly on the full table, so every
-// intermediate table is a region-boundary prefix of the authoritative one.
-func validateRegions(steps []RegionRange, tableLen int) error {
-	for i, rg := range steps {
-		if rg.Hi <= rg.Lo || int(rg.Hi) > tableLen {
-			return fmt.Errorf("dist: malformed region step %d: [%d,%d) against table of %d", i, rg.Lo, rg.Hi, tableLen)
-		}
-		if i > 0 && rg.Lo != steps[i-1].Hi {
-			return fmt.Errorf("dist: region step %d not contiguous: starts at %d, previous ends at %d", i, rg.Lo, steps[i-1].Hi)
-		}
-	}
-	if last := steps[len(steps)-1].Hi; int(last) != tableLen {
-		return fmt.Errorf("dist: region plan ends at %d, table has %d blocks", last, tableLen)
-	}
-	return nil
-}
-
 // handleInstall is the node-local half of Algorithm 3's coforall body under
 // EBR: clone (here: adopt the authoritative table), publish, advance the
 // epoch, wait for this node's readers, reclaim the old snapshot. Fencing and
@@ -534,8 +517,8 @@ func (n *ArrayNode) handleInstall(payload []byte) ([]byte, error) {
 	}
 	steps := q.Regions
 	if len(steps) == 0 {
-		steps = []RegionRange{{Lo: 0, Hi: uint32(len(q.Table))}}
-	} else if err := validateRegions(steps, len(q.Table)); err != nil {
+		steps = []region.Step{{Lo: 0, Hi: len(q.Table)}}
+	} else if err := region.Validate(steps, len(q.Table)); err != nil {
 		return nil, err
 	}
 	n.mu.Lock()

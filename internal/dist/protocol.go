@@ -3,6 +3,8 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
+
+	"rcuarray/internal/region"
 )
 
 // Active-message handler ids served by every array node.
@@ -179,14 +181,6 @@ func readTable(r *rbuf) ([]BlockRef, error) {
 	return table, nil
 }
 
-// RegionRange is one per-region publication step of an incremental install:
-// after applying the step, the node's table is Table[:Hi]. Lo is the step's
-// first block index (the previous step's Hi, or the pre-resize length for
-// the first step); it is carried for auditability and validated for shape.
-type RegionRange struct {
-	Lo, Hi uint32
-}
-
 // installReq carries a fenced, versioned table replacement. Fence is the
 // holder's lease token: a node rejects installs whose fence is below the
 // highest it has seen, so a holder whose lease expired (and was superseded)
@@ -196,15 +190,16 @@ type RegionRange struct {
 // the rollback table.
 //
 // Regions, when non-empty, splits the install into per-region table
-// publications: the node applies Table[:Hi] for each range in order, each
+// publications: the node applies Table[:Hi] for each step in order, each
 // under its own grace period, re-validating fence and abort tombstones
-// between flips. Empty Regions is the single-step install (aborts always
-// use it: a rollback must be atomic).
+// between flips. Lo is carried for auditability and validated for shape;
+// each step travels as two u32s. Empty Regions is the single-step install
+// (aborts always use it: a rollback must be atomic).
 type installReq struct {
 	Fence   uint64
 	Epoch   uint64
 	Table   []BlockRef
-	Regions []RegionRange
+	Regions []region.Step
 }
 
 func (q installReq) encode() []byte {
@@ -213,9 +208,9 @@ func (q installReq) encode() []byte {
 	w.u64(q.Epoch)
 	w.b = append(w.b, encodeTable(q.Table)...)
 	w.u32(uint32(len(q.Regions)))
-	for _, rg := range q.Regions {
-		w.u32(rg.Lo)
-		w.u32(rg.Hi)
+	for _, s := range q.Regions {
+		w.u32(uint32(s.Lo))
+		w.u32(uint32(s.Hi))
 	}
 	return w.b
 }
@@ -236,7 +231,7 @@ func decodeInstall(p []byte) (installReq, error) {
 		return q, fmt.Errorf("dist: absurd region count %d", nr)
 	}
 	for i := 0; i < nr && r.err == nil; i++ {
-		q.Regions = append(q.Regions, RegionRange{Lo: r.u32(), Hi: r.u32()})
+		q.Regions = append(q.Regions, region.Step{Lo: int(r.u32()), Hi: int(r.u32())})
 	}
 	return q, r.err
 }

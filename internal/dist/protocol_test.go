@@ -1,9 +1,13 @@
 package dist
 
 import (
+	"encoding/hex"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"rcuarray/internal/region"
 )
 
 func TestConfigureCodec(t *testing.T) {
@@ -52,6 +56,27 @@ func TestTableCodec(t *testing.T) {
 	}
 	if _, err := decodeTable(encodeTable(in)[:7]); err == nil {
 		t.Fatal("truncated table accepted")
+	}
+}
+
+// TestInstallFrameBytes pins the install frame of a two-step region plan:
+// each step travels as two big-endian u32s after the table, so frames stay
+// byte-identical whatever type the plan has in memory.
+func TestInstallFrameBytes(t *testing.T) {
+	q := installReq{Fence: 7, Epoch: 3,
+		Table:   []BlockRef{{Node: 0, Seg: 1}, {Node: 1, Seg: 2}, {Node: 0, Seg: 3}},
+		Regions: region.Plan(1, 3, 2),
+	}
+	const want = "0000000000000007" + "0000000000000003" + // fence, epoch
+		"00000003" + "00000000" + "0000000000000001" + "00000001" + "0000000000000002" + "00000000" + "0000000000000003" + // table
+		"00000002" + "00000001" + "00000002" + "00000002" + "00000003" // regions [1,2) [2,3)
+	frame := q.encode()
+	if got := hex.EncodeToString(frame); got != want {
+		t.Fatalf("install frame\n got %s\nwant %s", got, want)
+	}
+	out, err := decodeInstall(frame)
+	if err != nil || !reflect.DeepEqual(out, q) {
+		t.Fatalf("round trip = %+v, %v", out, err)
 	}
 }
 

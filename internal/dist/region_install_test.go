@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rcuarray/internal/comm"
+	"rcuarray/internal/region"
 )
 
 // regionOpts widens the RPC deadline so a test that deliberately pauses a
@@ -243,7 +244,7 @@ func TestRegionAbortMidInstallPreventsResurrection(t *testing.T) {
 
 	install := installReq{
 		Fence: token, Epoch: epoch, Table: newTable,
-		Regions: []RegionRange{{Lo: 2, Hi: 4}, {Lo: 4, Hi: 6}},
+		Regions: []region.Step{{Lo: 2, Hi: 4}, {Lo: 4, Hi: 6}},
 	}
 	_, err = d.am(0, amInstall, install.encode())
 	if err == nil {

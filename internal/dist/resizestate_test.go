@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rcuarray/internal/durable"
+	"rcuarray/internal/region"
 )
 
 // Every sequence of up to six records over two fences, two epochs and
@@ -153,8 +154,8 @@ func TestLiveStateEqualsReplay(t *testing.T) {
 					steps = len(q.Table)
 				}
 				for i := 0; steps > 1 && i < steps; i++ {
-					q.Regions = append(q.Regions, RegionRange{
-						Lo: uint32(len(q.Table) * i / steps), Hi: uint32(len(q.Table) * (i + 1) / steps)})
+					q.Regions = append(q.Regions, region.Step{
+						Lo: len(q.Table) * i / steps, Hi: len(q.Table) * (i + 1) / steps})
 				}
 				return q
 			}
@@ -186,7 +187,7 @@ func TestLiveStateEqualsReplay(t *testing.T) {
 				q := fresh(rng.Intn(2) == 0)
 				if len(q.Regions) < 2 {
 					q.Table = append(q.Table, table(q.Fence, q.Epoch+100)...)
-					q.Regions = []RegionRange{{Lo: 0, Hi: 1}, {Lo: 1, Hi: uint32(len(q.Table))}}
+					q.Regions = []region.Step{{Lo: 0, Hi: 1}, {Lo: 1, Hi: len(q.Table)}}
 					sent[len(sent)-1] = q
 				}
 				return q

@@ -170,7 +170,6 @@ func (c *Cluster) QSBR() *qsbr.Domain { return c.qsbr }
 // snapshot into BENCH JSON.
 func (c *Cluster) Obs() *obs.Registry { return c.obs }
 
-
 // Shutdown stops all locale pools. The cluster is unusable afterwards.
 func (c *Cluster) Shutdown() {
 	if !c.shutdown.CompareAndSwap(false, true) {

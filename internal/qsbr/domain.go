@@ -1,7 +1,6 @@
 package qsbr
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -68,11 +67,6 @@ type Participant struct {
 	list     deferList
 	stats    stats
 }
-
-// parkedEpoch would be the natural "quiescent at infinity" sentinel; instead
-// of storing it we skip parked participants during the scan, which avoids
-// reserving an epoch value. Kept as a named constant for documentation.
-const parkedEpoch = math.MaxUint64
 
 // New returns an empty domain with StateEpoch zero.
 func New() *Domain {
@@ -204,7 +198,8 @@ func (p *Participant) Pending() int { return p.list.size }
 
 // minObserved returns the minimum observed epoch over all active (unparked)
 // participants. If every participant is parked the current StateEpoch is the
-// bound: nothing can hold a reference.
+// bound: nothing can hold a reference. Parked participants are skipped rather
+// than stored as a +∞ observed epoch, so no epoch value is reserved.
 func (d *Domain) minObserved() uint64 {
 	min := d.stateEpoch.Load()
 	for _, q := range *d.participants.Load() {
@@ -323,5 +318,3 @@ func (d *Domain) OrphanCount() int {
 	defer d.orphanMu.Unlock()
 	return len(d.orphans)
 }
-
-var _ = uint64(parkedEpoch) // documented sentinel, intentionally unused in code
