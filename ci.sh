@@ -2,10 +2,11 @@
 # CI pipeline. Tiers are cumulative; run the highest tier you have time for.
 #
 #   ./ci.sh            tier-1   (gofmt -l over tracked .go files outside
-#                                testdata/, failing with the file list when
-#                                it is non-empty; build + vet + rcuvet + full
-#                                test suite, then
-#                                vet + tests of the nested benchmark/ module; no
+#                                testdata/ that exist on disk, failing with
+#                                the file list when it is non-empty and with a
+#                                ci: line when gofmt errors; build + vet +
+#                                rcuvet + full test suite, then vet + tests
+#                                of the nested benchmark/ module; no
 #                                race detector; rcuvet is the in-repo static
 #                                analysis suite — see DESIGN.md "Static
 #                                analysis". rcuvet runs with -time so the
@@ -58,8 +59,14 @@ versions() {
 tier1() {
 	versions tier-1
 	# Fixtures under testdata/ keep deliberate layouts, so they are not checked.
+	# A tracked file deleted but not yet staged is skipped, not passed on: gofmt
+	# would fail on it, and under set -e that failure ends the run silently.
 	echo '--- tier-1: gofmt -l (tracked .go files outside testdata/)'
-	unformatted=$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)
+	if ! unformatted=$(git ls-files '*.go' | grep -v '/testdata/' |
+		while read -r f; do if [ -e "$f" ]; then echo "$f"; fi; done | xargs gofmt -l); then
+		echo 'ci: gofmt -l failed with the error above; the format gate cannot run.' >&2
+		exit 1
+	fi
 	if [ -n "$unformatted" ]; then
 		echo "$unformatted"
 		echo 'ci: gofmt -l lists the files above; format them with gofmt -w.' >&2

@@ -1,10 +1,9 @@
 // Command rcuvet machine-checks this repository's RCU/EBR concurrency
 // invariants: guard pairing, atomic-access uniformity, seed-purity of the
-// deterministic test fabrics, non-copyable type discipline, fencing-token
-// monotonicity, and — via the CFG/dataflow passes — grace-period ordering
-// before reclamation, WAL-append-before-ack durability, pooled-buffer
-// ownership, and obs gate domination. See DESIGN.md's "Static analysis"
-// section for the invariants each analyzer encodes.
+// deterministic test fabrics, non-copyable type discipline, and — via the
+// CFG/dataflow passes — grace-period ordering before reclamation,
+// pooled-buffer ownership, and obs gate domination. See DESIGN.md's
+// "Static analysis" section for the invariants each analyzer encodes.
 //
 // Usage:
 //
@@ -19,9 +18,8 @@
 // Findings are suppressed per line with `//rcuvet:ignore <reason>`; the
 // reason is mandatory (enforced by the ignorecheck analyzer) and the
 // directive also covers the line directly below it. The protocol-safety
-// passes (gracesafe, ackorder, poolsafe, obsgate) ignore the directive
-// entirely: their findings are memory- or durability-safety bugs, not
-// style calls.
+// passes (gracesafe, poolsafe, obsgate) ignore the directive entirely:
+// their findings are protocol bugs, not style calls.
 package main
 
 import (

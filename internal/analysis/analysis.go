@@ -87,10 +87,9 @@ type Analyzer struct {
 	// timing asserts) violate the invariants on purpose.
 	IncludeTests bool
 	// NoIgnore exempts the analyzer from //rcuvet:ignore suppression. The
-	// protocol-safety passes (gracesafe, ackorder, poolsafe, obsgate) set
-	// it: a use-after-free or an ack-before-fsync is never a style call,
-	// so the escape hatch must not reach them — fix the code or change
-	// the analyzer.
+	// protocol-safety passes (gracesafe, poolsafe, obsgate) set it: a
+	// use-after-free is never a style call, so the escape hatch must not
+	// reach them — fix the code or change the analyzer.
 	NoIgnore bool
 	// Run analyzes one target package. It may stash cross-package state
 	// in pass.Shared(), which is scoped to (analyzer, Runner.Run call).

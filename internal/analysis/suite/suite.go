@@ -5,9 +5,7 @@ package suite
 
 import (
 	"rcuarray/internal/analysis"
-	"rcuarray/internal/analysis/ackorder"
 	"rcuarray/internal/analysis/atomicmix"
-	"rcuarray/internal/analysis/fencemono"
 	"rcuarray/internal/analysis/gracesafe"
 	"rcuarray/internal/analysis/guardpair"
 	"rcuarray/internal/analysis/ignorecheck"
@@ -17,19 +15,17 @@ import (
 	"rcuarray/internal/analysis/seedpure"
 )
 
-// All returns the rcuvet analyzers in their canonical order: the PR 4
-// syntactic passes first, then the dataflow (CFG-based) protocol passes
-// added with the grace-period, durability, pooling, and obs disciplines.
+// All returns the rcuvet analyzers in their canonical order: the syntactic
+// passes first, then the dataflow (CFG-based) protocol passes for the
+// grace-period, pooling, and obs disciplines.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		guardpair.Analyzer,
 		atomicmix.Analyzer,
 		seedpure.Analyzer,
 		nocopy.Analyzer,
-		fencemono.Analyzer,
 		ignorecheck.Analyzer,
 		gracesafe.Analyzer,
-		ackorder.Analyzer,
 		poolsafe.Analyzer,
 		obsgate.Analyzer,
 	}

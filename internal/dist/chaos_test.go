@@ -494,16 +494,22 @@ func TestChaosAllocLedgerPrunedAndFenced(t *testing.T) {
 			t.Fatalf("node %d alloc ledger holds %d entries after committed resizes", i, ledger)
 		}
 	}
-	// A straggler alloc from a long-finished resize (fence 1 is well below
-	// the last install's token) is fenced, not allocated.
+	// A straggler alloc from a long-finished resize is fenced, not
+	// allocated: both one well below the last install's token (fence 1) and
+	// one at that token itself, the boundary of the reject-at-or-below rule.
 	stats0, err := d.Stats()
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if _, err := d.am(0, amAllocBlock, encodeU64Pair(1<<20, 1)); err == nil {
-		t.Fatal("straggler alloc with a stale fence succeeded")
-	} else if !strings.Contains(err.Error(), "fenced") {
-		t.Fatalf("straggler alloc rejection: %v", err)
+	nodes[0].mu.Lock()
+	last := nodes[0].rs.maxFence
+	nodes[0].mu.Unlock()
+	for i, fence := range []uint64{1, last} {
+		if _, err := d.am(0, amAllocBlock, encodeU64Pair(1<<20+uint64(i), fence)); err == nil {
+			t.Fatalf("straggler alloc with stale fence %d (last install %d) succeeded", fence, last)
+		} else if !strings.Contains(err.Error(), "fenced") {
+			t.Fatalf("straggler alloc rejection at fence %d: %v", fence, err)
+		}
 	}
 	stats1, err := d.Stats()
 	if err != nil {

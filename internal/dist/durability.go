@@ -252,8 +252,7 @@ func decodeNodeConf(p []byte) (nodeConf, error) {
 // resizeState is a node's install/abort fencing and idempotency state: the
 // milestones every install and abort is judged against. Its one transition
 // function, next, is called by the live handlers and by WAL replay alike, so
-// replay really is "more resizes". The field names — and the ordering
-// discipline on every write to them — are what the fencemono analyzer checks.
+// replay really is "more resizes".
 type resizeState struct {
 	maxFence     uint64 // highest fencing token seen
 	appliedFence uint64 // (fence, epoch) of the applied table
@@ -461,19 +460,26 @@ func decodeSnapshot(payloads [][]byte, torn bool) (snapHeader, []BlockRef, map[u
 	return h, table, segs, nil
 }
 
+// logged is the proof that a milestone reached the WAL. Only
+// walAppendLocked makes one and replaceTableLocked demands one, so a live
+// handler cannot publish a table before its record is durable: the
+// write-ahead order is checked by the compiler. Replay and adoption publish
+// with a plain Store because they log nothing.
+type logged struct{}
+
 // walAppendLocked appends one milestone to the WAL and fsyncs. Callers hold
 // n.mu and must not acknowledge the milestone if this fails: write-ahead
 // means the record is durable before the flip is visible to anyone.
 // A node without a data dir has no WAL and acknowledges immediately.
-func (n *ArrayNode) walAppendLocked(rec walRecord) error {
+func (n *ArrayNode) walAppendLocked(rec walRecord) (logged, error) {
 	if n.wal == nil {
-		return nil
+		return logged{}, nil
 	}
 	if err := n.wal.Append(rec.encode()); err != nil {
-		return fmt.Errorf("dist: WAL append: %w", err)
+		return logged{}, fmt.Errorf("dist: WAL append: %w", err)
 	}
 	n.walRecords.Inc()
-	return nil
+	return logged{}, nil
 }
 
 // Snapshot streams a consistent cut of the node to a new snapshot file and

@@ -3,6 +3,9 @@ package dist
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net"
 	"os"
 	"path/filepath"
@@ -783,4 +786,36 @@ func FuzzSnapshotTornFile(f *testing.F) {
 		var st replayState
 		replayWALRecords(payloads, &st)
 	})
+}
+
+// TestDurableFilesWrittenThroughDurablePackage keeps raw one-shot file writes
+// out of this package: os.WriteFile and os.Create fsync neither the file nor
+// its directory, so a crash can lose or tear what they wrote. Every durable
+// file goes through durable.WriteFileAtomic or durable.Create instead.
+func TestDurableFilesWrittenThroughDurablePackage(t *testing.T) {
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || (sel.Sel.Name != "WriteFile" && sel.Sel.Name != "Create") {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "os" {
+				t.Errorf("%s: raw os.%s; use durable.WriteFileAtomic or durable.Create, which fsync file and directory",
+					fset.Position(sel.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	}
 }

@@ -556,7 +556,8 @@ func (n *ArrayNode) handleInstall(payload []byte) ([]byte, error) {
 		}
 		// Write-ahead: the milestone is on disk before the flip is published
 		// (and so before it can be acknowledged).
-		if err := n.walAppendLocked(rec); err != nil {
+		proof, err := n.walAppendLocked(rec)
+		if err != nil {
 			n.mu.Unlock()
 			return nil, err
 		}
@@ -566,7 +567,7 @@ func (n *ArrayNode) handleInstall(payload []byte) ([]byte, error) {
 		// status afterwards.
 		n.rs = next
 		n.trace.begin(n.trace.nInstall)
-		n.replaceTableLocked(rec.Table)
+		n.replaceTableLocked(proof, rec.Table)
 		n.trace.end(n.trace.nInstall)
 		n.regionFlips.Inc()
 		n.trace.instant(n.trace.nRegion, int64(k))
@@ -607,7 +608,8 @@ func (n *ArrayNode) handleAbort(payload []byte) ([]byte, error) {
 	// Write-ahead, before any state (tombstone included) changes: a crash
 	// after the ack replays this record and reconstructs both the tombstone
 	// and the rollback.
-	if err := n.walAppendLocked(rec); err != nil {
+	proof, err := n.walAppendLocked(rec)
+	if err != nil {
 		return nil, err
 	}
 	n.rs = next
@@ -617,7 +619,7 @@ func (n *ArrayNode) handleAbort(payload []byte) ([]byte, error) {
 	}
 	abortedTable := n.snap.Load().table
 	n.trace.begin(n.trace.nAbort)
-	n.replaceTableLocked(q.Table)
+	n.replaceTableLocked(proof, q.Table)
 	// Free the local blocks the aborted install had added — present in the
 	// table being rolled back but not in the rollback table. This runs after
 	// the rollback's Synchronize, so no local reader is still inside a
@@ -643,8 +645,9 @@ func (n *ArrayNode) handleAbort(payload []byte) ([]byte, error) {
 }
 
 // replaceTableLocked publishes a new table under EBR and reclaims the old
-// snapshot after this node's readers drain. Callers hold n.mu.
-func (n *ArrayNode) replaceTableLocked(table []BlockRef) {
+// snapshot after this node's readers drain. Callers hold n.mu and pass the
+// proof that the milestone is already in the WAL.
+func (n *ArrayNode) replaceTableLocked(_ logged, table []BlockRef) {
 	old := n.snap.Load()
 	n.snap.Store(&tableSnapshot{table: table})
 	n.dom.Synchronize()
