@@ -15,7 +15,9 @@
 #   ./ci.sh race       tier-1.5 (adds go test -race over the -short subset:
 #                                every package's tests with the long stress
 #                                loops trimmed, including the lincheck
-#                                suites, under the race detector)
+#                                suites, under the race detector; then the
+#                                EBR park/wake tests, full length, 20 times
+#                                under the race detector)
 #   ./ci.sh obs        observability tier: one traced pass of the benchmark
 #                                (benchmark/run.sh --workload index_ebr
 #                                --trace 1) prints obs.overhead_pct and its
@@ -105,6 +107,8 @@ tier15() {
 	versions tier-1.5
 	echo '--- tier-1.5: go test -race -short ./...'
 	go test -race -short ./...
+	echo "--- tier-1.5: go test -race -count=20 -run 'ParkWake|PinFirstTick' ./internal/ebr/"
+	go test -race -count=20 -run 'ParkWake|PinFirstTick' ./internal/ebr/
 }
 
 obs() {

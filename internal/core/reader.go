@@ -18,13 +18,14 @@ import (
 //
 // Three rules keep this safe:
 //
-//   - Pin budget. Under EBR a pinned reader holds its epoch open, which
-//     would starve writers in Synchronize if unbounded. Every operation
-//     ticks a budget (Options.PinBudget); when it is spent the session
-//     exits and re-enters the critical section and re-resolves its
-//     snapshot, giving any waiting writer its grace period. A session that
-//     stops issuing operations must Close — an idle open session blocks
-//     writers just like a paused reader in plain Index would, only longer.
+//   - Repin on epoch advance. Under EBR a pinned reader holds its epoch
+//     open, which would starve writers in Synchronize if unbounded. Every
+//     operation ticks the pin; the first tick after a writer advances the
+//     epoch — or after Options.PinBudget operations — exits and re-enters
+//     the critical section and re-resolves the snapshot, releasing the
+//     waiting writer. A session that stops issuing operations must Close —
+//     an idle open session blocks writers just like a paused reader in
+//     plain Index would, only longer.
 //   - Cache invalidation. The block cache is valid only against the
 //     session's resolved snapshot, so it is dropped on every repin (and on
 //     Repin/Close). Within one pin window the snapshot is immutable, so a
@@ -90,8 +91,8 @@ func (r *Reader[T]) Index(idx int) Ref[T] {
 		panic("core: Reader used after Close")
 	}
 	if r.ebr && r.pin.Tick() {
-		// Budget exhausted: the pin cycled, the previous snapshot may
-		// be retired by the time we return. Re-resolve.
+		// The pin cycled (epoch advance or budget spent): the previous
+		// snapshot may be retired by the time we return. Re-resolve.
 		r.resolve()
 	}
 	bs := r.a.opts.BlockSize

@@ -3,6 +3,7 @@ package ebr
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -112,3 +113,38 @@ func BenchmarkReadSection(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkSynchronizeBusyReader measures a grace period against a plain
+// (unpinned) reader that keeps entering critical sections of a few
+// microseconds, longer than the writer's spin phase, as a node's request
+// handlers do: the writer waits out whichever old-parity section is in
+// flight when it advances the epoch, so most waits end in a park and a wake.
+// Running the test binary under `taskset -c 0` with -test.cpu 2 puts the
+// writer's and the reader's threads on one CPU.
+func BenchmarkSynchronizeBusyReader(b *testing.B) {
+	d := New()
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var work int
+		for !stop.Load() {
+			g := d.EnterSlot(1)
+			for j := 0; j < 4096; j++ {
+				work += j
+			}
+			g.Exit()
+		}
+		busySink.Add(int64(work))
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Synchronize()
+	}
+	b.StopTimer()
+	stop.Store(true)
+	<-done
+}
+
+// busySink keeps the readers' section work from being optimized away.
+var busySink atomic.Int64

@@ -54,6 +54,11 @@ type Domain struct {
 	// writerActive detects violations of the precondition that
 	// Synchronize callers hold mutual exclusion (the paper's WriteLock).
 	writerActive atomic.Int32
+	// waiter is the wake channel of a Synchronize parked on its grace
+	// period (nil = none parked). Only the writer stores it, so it shares
+	// writerActive's line rather than a line readers write; the release
+	// that takes a stripe to zero loads it and sends without blocking.
+	waiter atomic.Pointer[chan struct{}]
 	// retries counts read-side verification failures (the loop at
 	// Algorithm 1 lines 9–17). Exposed for the ablation benchmarks.
 	retries xsync.PaddedUint64
@@ -170,8 +175,9 @@ func (d *Domain) EnterSlot(slot int) Guard {
 		}
 		// A writer moved the epoch between our load and increment; a
 		// future writer waiting on the *new* parity would not see us.
-		// Undo and retry (lines 17, 9).
-		cell.Dec()
+		// Undo and retry (lines 17, 9). The undo can be the last
+		// decrement a parked writer waits on, so it wakes like an Exit.
+		d.release(cell)
 		d.retries.Inc()
 		if obs.On() {
 			d.obsHandles().retries.Inc()
@@ -192,9 +198,27 @@ func (g *Guard) Exit() {
 		panic("ebr: double Exit of Guard")
 	}
 	g.exited = true
-	if after := g.cell.Dec(); after > math.MaxUint64/2 {
+	if after := g.d.release(g.cell); after > math.MaxUint64/2 {
 		panic(fmt.Sprintf("ebr: unbalanced Exit underflowed reader counter (parity %d stripe %d)", g.idx, g.stripe))
 	}
+}
+
+// release decrements a reader stripe and returns its new value. The decrement
+// that takes the stripe to zero wakes a parked Synchronize: the writer stores
+// waiter before it re-sums the stripes, and release decrements before it loads
+// waiter, so under Go's sequentially consistent atomics either the writer's
+// re-sum sees this decrement or this load sees the writer's channel.
+func (d *Domain) release(cell *xsync.PaddedUint64) uint64 {
+	after := cell.Dec()
+	if after == 0 {
+		if w := d.waiter.Load(); w != nil {
+			select {
+			case *w <- struct{}{}:
+			default: // a wake is already pending
+			}
+		}
+	}
+	return after
 }
 
 // Epoch returns the guard's linearized epoch. Torture tests correlate it
@@ -230,6 +254,10 @@ func (d *Domain) ReadSlot(slot int, fn func()) {
 // old-parity increments are verification failures, which make a pass read a
 // stale nonzero — never a false zero — and cost one more pass.
 //
+// The wait spins for syncSpins passes and then parks until the release that
+// takes an old-parity stripe to zero wakes it, so the grace period ends when
+// the last old-parity reader leaves, not when a sleep timer fires.
+//
 // Callers must hold the same mutual exclusion that serializes writers (the
 // paper's cluster-wide WriteLock): concurrent Synchronize calls would race
 // on parity and are detected and rejected.
@@ -264,8 +292,20 @@ func (d *Domain) Synchronize() {
 	var stalls uint64
 	var b xsync.Backoff
 	for d.sumStripes(idx) != 0 {
-		b.Wait()
 		stalls++
+		if stalls <= syncSpins {
+			b.Wait()
+			continue
+		}
+		// Publish the wake channel, then re-sum: a reader whose last
+		// decrement landed before the store is seen by the re-sum, and one
+		// landing after it sees the channel.
+		ch := make(chan struct{}, 1)
+		d.waiter.Store(&ch)
+		if d.sumStripes(idx) != 0 {
+			<-ch
+		}
+		d.waiter.Store(nil)
 	}
 	if o != nil {
 		d.syncStart.Store(0)
@@ -273,6 +313,10 @@ func (d *Domain) Synchronize() {
 		o.stalls.Add(stalls)
 	}
 }
+
+// syncSpins is how many Backoff steps Synchronize spins before it parks:
+// Backoff's busy-spin phase, and none of its Gosched or sleep steps.
+const syncSpins = 16
 
 // sumStripes returns one pass over parity idx's stripes.
 func (d *Domain) sumStripes(idx uint64) uint64 {

@@ -1,6 +1,7 @@
 package ebr
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -223,4 +224,113 @@ func TestNewAtEpoch(t *testing.T) {
 		t.Fatalf("parity index for epoch 41 = %d, want 1", g.idx)
 	}
 	g.Exit()
+}
+
+// Stress for the park/wake handshake: readers on distinct stripes churn
+// EnterSlot/Exit — epoch advances landing between a reader's load and its
+// increment send it through the verification-failure undo — while one writer
+// runs back-to-back Synchronize calls, most of which outlast the spin phase
+// and park. A lost wake-up leaves the writer parked forever; the deadline
+// turns that into a failure naming the stuck state.
+func TestSynchronizeParkWakeStress(t *testing.T) {
+	syncs, timeout := 50000, 60*time.Second
+	if testing.Short() {
+		syncs, timeout = 10000, 20*time.Second
+	}
+	d := NewStriped(4)
+	var stop atomic.Bool
+	var parkedSeen atomic.Int64
+	var wg, ready sync.WaitGroup
+	for slot := 0; slot < 3; slot++ {
+		wg.Add(1)
+		ready.Add(1)
+		go func(slot int) {
+			defer wg.Done()
+			ready.Done()
+			for i := 0; !stop.Load(); i++ {
+				g := d.EnterSlot(slot)
+				if d.waiter.Load() != nil {
+					parkedSeen.Add(1)
+				}
+				if i%4 == 0 {
+					// Hold past the writer's spin phase.
+					runtime.Gosched()
+				}
+				g.Exit()
+			}
+		}(slot)
+	}
+
+	ready.Wait()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < syncs; i++ {
+			d.Synchronize()
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(timeout):
+		t.Fatalf("Synchronize hung after %v: epoch %d, parity-0 readers %d, parity-1 readers %d, waiter set %v",
+			timeout, d.Epoch(), d.ActiveReaders(0), d.ActiveReaders(1), d.waiter.Load() != nil)
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	if d.ActiveReaders(0)+d.ActiveReaders(1) != 0 {
+		t.Fatalf("counters unbalanced after the run: %d + %d", d.ActiveReaders(0), d.ActiveReaders(1))
+	}
+	if d.waiter.Load() != nil {
+		t.Fatal("waiter left published after the last Synchronize returned")
+	}
+	if parkedSeen.Load() == 0 {
+		t.Fatal("no reader ever saw a parked writer: the park path was not exercised")
+	}
+	t.Logf("%d syncs, %d verification retries, %d reader sections saw a parked writer",
+		syncs, d.Retries(), parkedSeen.Load())
+}
+
+// Lockstep rounds in which one reader's exit is the only event that can
+// wake the writer: the reader holds a section, the writer advances the
+// epoch, and the reader exits after a varying spin that lands before,
+// during and after the writer's move from spinning to parking. Nothing else
+// touches the domain until the writer returns, so a lost wake-up (an exit
+// landing between the writer's last sum and its waiter store with no re-sum
+// after the store) hangs the round, and the deadline reports it.
+func TestSynchronizeParkWakeLastExit(t *testing.T) {
+	rounds, timeout := 20000, 60*time.Second
+	if testing.Short() {
+		rounds, timeout = 5000, 20*time.Second
+	}
+	d := NewStriped(4)
+	start, synced := make(chan struct{}), make(chan struct{})
+	go func() {
+		for range start {
+			d.Synchronize()
+			synced <- struct{}{}
+		}
+	}()
+	defer close(start)
+	deadline := time.After(timeout)
+	var work int
+	for i := 0; i < rounds; i++ {
+		g := d.EnterSlot(1)
+		before := d.Epoch()
+		start <- struct{}{}
+		for d.Epoch() == before {
+			runtime.Gosched()
+		}
+		for j := 0; j < (i*37)%4096; j++ {
+			work += j
+		}
+		g.Exit()
+		select {
+		case <-synced:
+		case <-deadline:
+			t.Fatalf("round %d: Synchronize hung after the last reader exited (epoch %d, readers %d/%d, waiter set %v)",
+				i, d.Epoch(), d.ActiveReaders(0), d.ActiveReaders(1), d.waiter.Load() != nil)
+		}
+	}
+	busySink.Add(int64(work))
 }

@@ -12,12 +12,17 @@ package ebr
 //   - Lemma 2: all of the above also holds when the epoch counter starts at
 //     the wrap-around boundary (parity is what matters, not magnitude).
 //
+// The writer's wait is the shipped one: it publishes a waiter word, re-sums,
+// and parks until a reader decrement that takes the waited parity's count to
+// zero wakes it. A lost wake-up shows as a deadlock at a non-terminal state.
+//
 // The model is intentionally independent of the production code — it checks
 // the *algorithm* the code implements; the torture tests check the code.
 
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -39,7 +44,9 @@ type mcState struct {
 	nextID  uint8            // next snapshot id to allocate
 
 	// writer
-	wpc     uint8 // 0:clone 1:publish 2:fetchAdd 3:wait 4:free, 5:done-all
+	wpc     uint8 // 0:clone 1:publish 2:fetchAdd 3:sum 4:storeWaiter 5:resum 6:park 7:clear 8:free
+	waiter  bool  // the parked writer's wake channel is published
+	woken   bool  // a wake was sent on that channel
 	wWrites uint8 // completed writes
 	wNew    uint8 // snapshot being installed
 	wOld    uint8 // snapshot to free
@@ -57,21 +64,32 @@ type mcReader struct {
 	snap  uint8
 }
 
+// mcMutation names one protocol step the meta-tests delete, to show the
+// checker finds the bug that step exists to prevent.
+type mcMutation uint8
+
+const (
+	mutNone       mcMutation = iota
+	mutNoVerify              // readers skip the Algorithm-1 verification (line 13)
+	mutNoResum               // the writer parks without re-summing after publishing waiter
+	mutNoUndoWake            // the verification-failure undo decrements without waking
+)
+
 type mcChecker struct {
 	visited map[mcState]bool
-	verify  bool // model the Algorithm-1 verification step (line 13)?
+	mut     mcMutation
 	err     error
 }
 
 func TestModelCheckEBR(t *testing.T) {
-	if err := runModel(0, true); err != nil {
+	if err := runModel(0, mutNone); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // Lemma 2: identical exploration starting at the uint64 overflow boundary.
 func TestModelCheckEBROverflow(t *testing.T) {
-	if err := runModel(math.MaxUint64-1, true); err != nil {
+	if err := runModel(math.MaxUint64-1, mutNone); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -81,17 +99,39 @@ func TestModelCheckEBROverflow(t *testing.T) {
 // epoch they loaded), some interleaving lets a writer reclaim a snapshot a
 // recorded reader still holds — the exact scenario Section III-A describes.
 func TestModelCheckDetectsUnverifiedBug(t *testing.T) {
-	err := runModel(0, false)
+	err := runModel(0, mutNoVerify)
 	if err == nil {
 		t.Fatal("model checker missed the unverified-read reclamation bug")
 	}
 	t.Logf("checker correctly reported: %v", err)
 }
 
-func runModel(epoch0 uint64, verify bool) error {
+// Meta-test: without the re-sum, a reader whose last decrement lands between
+// the writer's sum and its waiter store sends no wake, and the writer parks
+// forever.
+func TestModelCheckDetectsMissingResum(t *testing.T) {
+	expectDeadlock(t, mutNoResum)
+}
+
+// Meta-test: without the wake on the verification-failure undo, a writer
+// whose only nonzero count was a transient increment parks forever.
+func TestModelCheckDetectsMissingUndoWake(t *testing.T) {
+	expectDeadlock(t, mutNoUndoWake)
+}
+
+func expectDeadlock(t *testing.T, mut mcMutation) {
+	t.Helper()
+	err := runModel(0, mut)
+	if err == nil || !strings.Contains(err.Error(), "deadlock at non-terminal state") {
+		t.Fatalf("model checker missed the lost wake-up: got %v", err)
+	}
+	t.Logf("checker correctly reported: %v", err)
+}
+
+func runModel(epoch0 uint64, mut mcMutation) error {
 	init := mcState{epoch: epoch0, nextID: 1}
 	init.live[0] = true // initial snapshot id 0
-	mc := &mcChecker{visited: make(map[mcState]bool), verify: verify}
+	mc := &mcChecker{visited: make(map[mcState]bool), mut: mut}
 	mc.explore(init)
 	if mc.err == nil && len(mc.visited) == 0 {
 		return fmt.Errorf("model explored no states")
@@ -112,13 +152,13 @@ func (mc *mcChecker) explore(s mcState) {
 
 	progressed := false
 	// Writer step.
-	if next, ok := stepWriter(s); ok {
+	if next, ok := stepWriter(s, mc.mut); ok {
 		progressed = true
 		mc.explore(next)
 	}
 	// Reader steps.
 	for i := 0; i < mcReaders; i++ {
-		for _, next := range stepReader(s, i, mc.verify) {
+		for _, next := range stepReader(s, i, mc.mut) {
 			progressed = true
 			mc.explore(next)
 		}
@@ -169,7 +209,7 @@ func isTerminal(s mcState) bool {
 // stepWriter returns the successor state if the writer can take a step.
 // Writes are serialized (the paper's WriteLock), so a single writer thread
 // performs mcWrites RCU_Write operations back to back.
-func stepWriter(s mcState) (mcState, bool) {
+func stepWriter(s mcState, mut mcMutation) (mcState, bool) {
 	if s.wWrites == mcWrites && s.wpc == 0 {
 		return s, false // all writes done
 	}
@@ -191,12 +231,33 @@ func stepWriter(s mcState) (mcState, bool) {
 		n.wIdx = uint8(s.epoch & 1)
 		n.epoch = s.epoch + 1 // natural wrap at MaxUint64
 		n.wpc = 3
-	case 3: // wait for readers of the prior parity
-		if s.readers[s.wIdx] != 0 {
+	case 3: // sum the prior parity's readers
+		if s.readers[s.wIdx] == 0 {
+			n.wpc = 8
+		} else {
+			n.wpc = 4
+		}
+	case 4: // waiter.Store(fresh channel)
+		n.waiter, n.woken = true, false
+		n.wpc = 5
+		if mut == mutNoResum {
+			n.wpc = 6
+		}
+	case 5: // re-sum: park only if still nonzero
+		if s.readers[s.wIdx] == 0 {
+			n.wpc = 7
+		} else {
+			n.wpc = 6
+		}
+	case 6: // park until woken
+		if !s.woken {
 			return s, false // blocked
 		}
-		n.wpc = 4
-	case 4: // free the old snapshot; write complete
+		n.wpc = 7
+	case 7: // waiter.Store(nil); sum again
+		n.waiter, n.woken = false, false
+		n.wpc = 3
+	case 8: // free the old snapshot; write complete
 		n.live[s.wOld] = false
 		n.wWrites++
 		n.wpc = 0
@@ -204,9 +265,21 @@ func stepWriter(s mcState) (mcState, bool) {
 	return n, true
 }
 
+// release decrements parity idx's count and, when it reaches zero with a
+// waiter published on that parity, wakes the writer. The shipped release also
+// wakes on the other parity; those wakes are spurious (the writer re-sums),
+// and leaving them out keeps a missing wake from being masked by a later
+// new-parity exit, which for a pinned reader may never come.
+func (n *mcState) release(idx uint8, wake bool) {
+	n.readers[idx]--
+	if wake && n.readers[idx] == 0 && n.waiter && idx == n.wIdx {
+		n.woken = true
+	}
+}
+
 // stepReader returns the successor states for reader i (the verify step has
 // a single deterministic outcome per state, so there is at most one).
-func stepReader(s mcState, i int, verify bool) []mcState {
+func stepReader(s mcState, i int, mut mcMutation) []mcState {
 	r := s.r[i]
 	if r.pc == 0 && r.ops == mcOpsPerReader {
 		return nil // all ops done
@@ -222,11 +295,11 @@ func stepReader(s mcState, i int, verify bool) []mcState {
 		n.readers[nr.idx]++
 		nr.pc = 2
 	case 2: // verify: GE.load == epoch ?
-		if !verify || s.epoch == r.epoch {
+		if mut == mutNoVerify || s.epoch == r.epoch {
 			nr.pc = 3 // linearized (or recklessly assumed so)
 		} else {
 			// undo and retry
-			n.readers[r.idx]--
+			n.release(r.idx, mut != mutNoUndoWake)
 			nr.pc = 0
 		}
 	case 3: // access: snap = GlobalSnapshot (checked live by invariant)
@@ -235,7 +308,7 @@ func stepReader(s mcState, i int, verify bool) []mcState {
 	case 4: // linger inside the section (re-check hazard window)
 		nr.pc = 5
 	case 5: // EpochReaders[idx]--; op done
-		n.readers[r.idx]--
+		n.release(r.idx, true)
 		nr.pc = 0
 		nr.ops++
 	}

@@ -11,8 +11,8 @@ type domainObs struct {
 	// grace is the grace-period duration histogram: one observation per
 	// Synchronize, from epoch advance to last old-parity reader exit.
 	grace *obs.Histogram
-	// stalls counts epoch-advance stall passes: backoff waits spent in
-	// Synchronize because an old-parity reader was still inside.
+	// stalls counts epoch-advance stall passes: the spins plus parks a
+	// Synchronize spent because an old-parity reader was still inside.
 	stalls *obs.Counter
 	// retries counts read-side verification failures (mirrors Domain
 	// retries, but in the registry so /metrics can serve it).

@@ -3,9 +3,9 @@ package ebr
 import "rcuarray/internal/obs"
 
 // DefaultPinBudget is the number of Tick calls a pinned session serves
-// before it voluntarily repins. It bounds how long one pin can hold an epoch
-// open — and therefore how long a concurrent Synchronize can be made to
-// wait — while still amortizing the two read-side RMWs over many operations.
+// before it voluntarily repins even when no writer has advanced the epoch.
+// A waiting writer does not depend on it: the first Tick after an epoch
+// advance repins (see Tick).
 const DefaultPinBudget = 1024
 
 // Pinned is an amortized read-side session: one Enter serving many
@@ -14,12 +14,15 @@ const DefaultPinBudget = 1024
 // read-side amortization of Dewan & Jenkins' follow-up work transplanted
 // onto the two-counter protocol.
 //
-// A pinned reader holds its epoch open, so an unbounded pin would starve
-// writers in Synchronize. The budget caps that: every Tick counts one
-// operation, and when the budget is spent the session exits and re-enters
-// the critical section (a repin), giving any waiting writer its grace
-// period. Callers that cache epoch-protected state (snapshot pointers)
-// must refresh it whenever Tick or Repin report a repin.
+// A pinned reader holds its epoch open, so a pin that outlived a writer's
+// epoch advance would starve it in Synchronize. Tick prevents that: it loads
+// the global epoch, and the first Tick after an advance exits and re-enters
+// the critical section (a repin), so a writer waits for at most one
+// operation of a ticking session; the exit wakes a parked writer. A session
+// also repins when its budget of Ticks is spent. An idle session does not
+// Tick, so it holds a writer until it next ticks, repins or unpins. Callers
+// that cache epoch-protected state (snapshot pointers) must refresh it
+// whenever Tick or Repin report a repin.
 //
 // A Pinned must not be copied and is not safe for concurrent use; it is a
 // per-task object, like the task slot that names its stripe.
@@ -52,13 +55,14 @@ func (p *Pinned) Epoch() uint64 { return p.g.Epoch() }
 
 // Tick accounts one operation against the pin budget and reports whether
 // the session repinned (in which case any state the caller resolved under
-// the previous pin window must be re-resolved).
+// the previous pin window must be re-resolved). It repins when the budget is
+// spent or when a writer has advanced the epoch since the window began.
 func (p *Pinned) Tick() bool {
 	p.ops++
-	if p.ops < p.budget {
+	if p.ops < p.budget && p.d.globalEpoch.Load() == p.g.epoch {
 		return false
 	}
-	if obs.On() {
+	if obs.On() && p.ops >= p.budget {
 		p.d.obsHandles().repins.Inc()
 	}
 	p.Repin()
@@ -81,8 +85,8 @@ func (p *Pinned) Repin() {
 // Unpin panics (via Guard.Exit's double-exit detection).
 func (p *Pinned) Unpin() { p.g.Exit() }
 
-// Repins returns how many budget-exhaustion repins the session performed
-// (ablation diagnostics).
+// Repins returns how many repins the session performed (ablation
+// diagnostics).
 func (p *Pinned) Repins() uint64 { return p.repins }
 
 // Budget returns the session's per-window operation budget.

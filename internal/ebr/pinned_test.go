@@ -1,6 +1,7 @@
 package ebr
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -76,11 +77,13 @@ func TestPinBlocksSynchronizeUntilRepin(t *testing.T) {
 	p.Unpin()
 }
 
-// Same, but the repin comes from Tick exhausting the budget rather than an
-// explicit Repin.
+// An idle pinned session holds a writer: it does not Tick, so nothing tells
+// it the epoch moved. Its first Tick after the advance repins — however much
+// budget is left — and that releases the writer.
 func TestPinBlocksSynchronizeUntilBudgetTick(t *testing.T) {
 	d := New()
 	p := d.Pin(0, 2)
+	e0 := p.Epoch()
 	done := make(chan struct{})
 	go func() {
 		d.Synchronize()
@@ -91,16 +94,56 @@ func TestPinBlocksSynchronizeUntilBudgetTick(t *testing.T) {
 		t.Fatal("Synchronize returned past a pinned reader")
 	case <-time.After(10 * time.Millisecond):
 	}
-	if p.Tick() {
-		t.Fatal("first Tick of a 2-op budget repinned")
+	for d.Epoch() == e0 {
+		time.Sleep(time.Millisecond)
 	}
 	if !p.Tick() {
-		t.Fatal("second Tick of a 2-op budget did not repin")
+		t.Fatal("first Tick after the epoch advance did not repin")
 	}
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Synchronize did not return after the budget-exhausting Tick")
+		t.Fatal("Synchronize did not return after the repinning Tick")
+	}
+	p.Unpin()
+}
+
+// With the default budget nowhere near spent, one Tick after an epoch
+// advance repins, releases the blocked writer, and reports true so a caller
+// such as core.Reader re-resolves its snapshot.
+func TestPinFirstTickAfterAdvanceRepins(t *testing.T) {
+	d := New()
+	p := d.Pin(1, 1024)
+	for i := 0; i < 10; i++ {
+		if p.Tick() {
+			t.Fatalf("Tick %d repinned with no writer and budget left", i+1)
+		}
+	}
+	e0 := p.Epoch()
+	done := make(chan struct{})
+	go func() {
+		d.Synchronize()
+		close(done)
+	}()
+	for d.Epoch() == e0 {
+		runtime.Gosched()
+	}
+	if !p.Tick() {
+		t.Fatal("first Tick after the epoch advance did not repin")
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Synchronize did not return after the repinning Tick")
+	}
+	if got := p.Epoch(); got <= e0 {
+		t.Errorf("epoch after repin = %d, want > %d", got, e0)
+	}
+	if got := p.Repins(); got != 1 {
+		t.Errorf("Repins() = %d, want 1", got)
+	}
+	if p.Tick() {
+		t.Error("Tick after the repin repinned again with no new advance")
 	}
 	p.Unpin()
 }

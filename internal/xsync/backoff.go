@@ -5,10 +5,11 @@ import (
 	"time"
 )
 
-// Backoff implements a bounded spin-then-yield waiting strategy. It is used
-// wherever the paper's pseudocode says "wait for readers": a writer spinning
-// on the EpochReaders counters, a task waiting on the cluster-wide WriteLock,
-// and the QSBR registry scan.
+// Backoff implements a bounded spin-then-yield waiting strategy for the
+// places the paper's pseudocode says "wait for readers". The EBR writer uses
+// only its spin phase before it parks until the last old-parity reader's
+// exit wakes it; the QSBR Drain wait runs all three phases. (The
+// cluster-wide WriteLock is a sync.Mutex and does not use it.)
 //
 // The zero value is ready to use. Backoff is not safe for concurrent use; it
 // is a per-waiter scratch value.

@@ -116,8 +116,10 @@ type Options struct {
 	// InitialCapacity, if positive, grows the array at construction.
 	InitialCapacity int
 	// PinBudget bounds how many operations a Reader session serves per
-	// read-side pin before it voluntarily re-enters the critical section
-	// (letting resizes complete). Zero selects the default (1024).
+	// read-side pin before it voluntarily re-enters the critical section. A
+	// resize does not wait for it: a session re-enters on its first
+	// operation after the resize advances the epoch. Zero selects the
+	// default (1024).
 	PinBudget int
 }
 
@@ -210,9 +212,10 @@ func (a *Array[T]) Destroy(t *Task) { a.inner.Destroy(t) }
 //	defer rd.Close()
 //	for i := 0; i < rd.Len(); i++ { sum += rd.Load(i) }
 //
-// Under EBR the session holds its epoch pinned for at most PinBudget
-// operations before transparently re-pinning; an idle open session delays
-// concurrent resizes, so sessions should be closed promptly. Under QSBR the
+// Under EBR the session transparently re-pins on its first operation after a
+// concurrent resize advances the epoch, and at least every PinBudget
+// operations; an idle open session delays concurrent resizes, so sessions
+// should be closed promptly. Under QSBR the
 // session must not span a Checkpoint (like a Ref). A Reader is per-task:
 // not safe for concurrent use.
 func (a *Array[T]) Reader(t *Task) Reader[T] {
