@@ -23,26 +23,28 @@
 #                                --trace 1) prints obs.overhead_pct and its
 #                                base, with no threshold: timing is judged by
 #                                the benchmark's own --compare, not here. Then
-#                                the functional gates: a 3-node traced
+#                                the functional gate: a 3-node traced
 #                                workload must merge into a timeline with >= 1
-#                                cross-node flow arrow and 0 orphan spans; the
-#                                chaos seed list runs with every node's EBR
-#                                stall watchdog (the one stall watchdog)
-#                                armed, gating false positives at 0; and the
-#                                induced stalled-reader round must fire
-#                                exactly one correctly-attributed warning
-#   ./ci.sh chaos      fault tier: rcutorture -chaos over a fixed seed list
-#                                (seeded fault schedules against a loopback
-#                                cluster: connection-fault storms, node
-#                                kills mid-resize, partitions, stale lease
-#                                holders) plus go test -run Chaos -race
-#   ./ci.sh recover    durability tier: rcutorture -chaos forced to the
-#                                recover scenario (snapshot, kill a node
-#                                mid-resize, restart it from disk, audit
-#                                every acked write with no unreachability
-#                                exemption) over the fixed seed list, then
-#                                the durability/replay/torn-file test suite
-#                                under -race
+#                                cross-node flow arrow and 0 orphan spans. (The
+#                                stall watchdog's gates live in
+#                                TestChaosScenarios: every rotated round
+#                                asserts 0 warnings, the stalled-reader round
+#                                exactly one.)
+#   ./ci.sh chaos      fault tier: TestChaosScenarios/rotate over a fixed
+#                                seed list under -race (seeded fault schedules
+#                                against a loopback cluster: connection-fault
+#                                storms, node kills mid-resize, partitions,
+#                                stale lease holders, deaths between region
+#                                flips, kill-restart-rejoin; stall watchdogs
+#                                armed, 0 warnings) plus go test -run Chaos
+#                                -race -short
+#   ./ci.sh recover    durability tier: TestChaosScenarios/recover (every
+#                                round forced to the recover scenario:
+#                                snapshot, kill a node mid-resize, restart it
+#                                from disk, audit every acked write with no
+#                                unreachability exemption) over the fixed seed
+#                                list, then the durability/replay/torn-file
+#                                test suite, all under -race
 #   ./ci.sh full       tier-1 + tier-1.5 + chaos
 #
 # No tier holds a timing constant or writes into the tree: performance is the
@@ -137,63 +139,29 @@ obs() {
 		if (orphans)    { printf "ci: merged trace has %d orphan spans, want 0\n", orphans > "/dev/stderr"; exit 1 }
 		printf "obs: trace gate ok (%d flow arrows, 0 orphan spans)\n", flows
 	}' "$TMP/rcu_trace_run.txt"
-	# Watchdog false-positive gate: the chaos seed list with every node's
-	# grace-period stall watchdog armed (-obs-dump arms it at 250ms). The
-	# seed-rotated scenarios never hold a reader past the threshold, so any
-	# warning is a false positive. Reproduce one seed with
-	#   go run ./cmd/rcutorture -chaos -obs-dump -seed N
-	OBS_SEEDS="1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24"
-	echo "--- obs: watchdog false-positive gate over chaos seeds: $OBS_SEEDS"
-	go build -o "$TMP/rcutorture.ci" ./cmd/rcutorture
-	for s in $OBS_SEEDS; do
-		"$TMP/rcutorture.ci" -chaos -obs-dump -seed "$s" -chaos-rounds 2 >"$TMP/rcu_chaos_obs.txt" 2>/dev/null || {
-			cat "$TMP/rcu_chaos_obs.txt"
-			echo "ci: chaos seed $s failed under armed watchdogs" >&2
-			exit 1
-		}
-		warnings=$(sed -n 's/^chaos stall warnings: //p' "$TMP/rcu_chaos_obs.txt")
-		if [ "${warnings:-missing}" != 0 ]; then
-			cat "$TMP/rcu_chaos_obs.txt"
-			echo "ci: seed $s: watchdog fired $warnings false positive(s), want 0" >&2
-			exit 1
-		fi
-	done
-	echo 'obs: watchdog false-positive gate ok (0 warnings across all seeds)'
-	# The induced stalled-reader round is the true-positive check: exactly one
-	# warning naming the pinned (slot, site), plus a flight-recorder dump.
-	echo '--- obs: induced stalled-reader round (true-positive check)'
-	"$TMP/rcutorture.ci" -chaos -chaos-scenario stalled-reader -chaos-rounds 1 -seed 7 2>/dev/null
 }
+
+# Fixed seed list for the chaos and recover tiers; one seed replays with
+#   go test ./internal/dist -run 'TestChaosScenarios/rotate/seed=N$' -chaos.seeds N
+CHAOS_SEEDS="1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24"
 
 chaos() {
 	versions chaos
-	# Fixed seed list: every run is reproducible with
-	#   go run ./cmd/rcutorture -chaos -seed N
-	CHAOS_SEEDS="1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24"
-	echo "--- chaos: rcutorture -chaos, seeds: $CHAOS_SEEDS"
-	go build -o "$TMP/rcutorture.ci" ./cmd/rcutorture
-	for s in $CHAOS_SEEDS; do
-		echo "--- chaos: seed $s"
-		"$TMP/rcutorture.ci" -chaos -seed "$s" -chaos-rounds 4
-	done
-	echo '--- chaos: go test -run Chaos -race -short ./...'
-	go test -run Chaos -race -short ./...
+	echo "--- chaos: go test -race -run TestChaosScenarios/rotate, seeds: $CHAOS_SEEDS"
+	go test -race -run 'TestChaosScenarios/rotate' ./internal/dist -args -chaos.seeds "$CHAOS_SEEDS"
+	# The rotate pass above, the recover tier and tier-1 already run every
+	# TestChaosScenarios case; this pass covers the other Chaos tests.
+	echo '--- chaos: go test -run Chaos -skip TestChaosScenarios -race -short ./...'
+	go test -run Chaos -skip TestChaosScenarios -race -short ./...
 }
 
 recover() {
 	versions recover
-	# Same fixed seed list as the chaos tier, but every round is forced to
-	# the recover scenario so each seed exercises a full snapshot ->
-	# kill-mid-resize -> restart-from-disk -> rejoin-and-audit cycle.
-	# Reproduce any failure with
-	#   go run ./cmd/rcutorture -chaos -chaos-scenario recover -seed N
-	RECOVER_SEEDS="1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24"
-	echo "--- recover: rcutorture -chaos -chaos-scenario recover, seeds: $RECOVER_SEEDS"
-	go build -o "$TMP/rcutorture.ci" ./cmd/rcutorture
-	for s in $RECOVER_SEEDS; do
-		echo "--- recover: seed $s"
-		"$TMP/rcutorture.ci" -chaos -chaos-scenario recover -seed "$s" -chaos-rounds 3
-	done
+	# Every round forced to the recover scenario, so each seed exercises a
+	# full snapshot -> kill-mid-resize -> restart-from-disk -> rejoin-and-audit
+	# cycle.
+	echo "--- recover: go test -race -run TestChaosScenarios/recover, seeds: $CHAOS_SEEDS"
+	go test -race -run 'TestChaosScenarios/recover' ./internal/dist -args -chaos.seeds "$CHAOS_SEEDS"
 	# The filter names the suites it must keep: a renamed test that no longer
 	# matches drops out of this tier silently, so widen it with the rename.
 	echo '--- recover: go test -race durability/replay/state-machine/torn-file suite'

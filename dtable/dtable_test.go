@@ -143,6 +143,9 @@ func TestRangeVisitsAll(t *testing.T) {
 	})
 }
 
+// One writer's inserts force continuous resizes while every other task checks
+// the stable keys and runs Put/Get/Delete on a private key range against an
+// exact model of it; the final Len is the sum of all the models.
 func TestConcurrentReadersDuringResizeStorm(t *testing.T) {
 	bothReclaims(t, func(t *testing.T, r rcuarray.Reclaim) {
 		c := newCluster(t, 2)
@@ -151,10 +154,11 @@ func TestConcurrentReadersDuringResizeStorm(t *testing.T) {
 				Reclaim: r, InitialBuckets: 4, MaxLoadFactor: 1,
 			})
 			// Pre-populate stable keys the readers will verify.
-			for k := uint64(0); k < 64; k++ {
+			const stable = 64
+			for k := uint64(0); k < stable; k++ {
 				m.Put(task, k, k+1000)
 			}
-			var bad atomic.Int64
+			var bad, modelLen atomic.Int64
 			task.Coforall(func(sub *rcuarray.Task) {
 				sub.ForAllTasks(2, func(tt *rcuarray.Task, id int) {
 					if tt.Here().ID() == 0 && id == 0 {
@@ -166,21 +170,46 @@ func TestConcurrentReadersDuringResizeStorm(t *testing.T) {
 								m.Delete(tt, k)
 							}
 						}
+						modelLen.Add(800) // 1200 inserted, 400 deleted
 						return
 					}
+					base := uint64(tt.Here().ID()*2+id) << 32 // private key range
+					model := map[uint64]uint64{}
 					for i := 0; i < 3000; i++ {
-						k := uint64(i % 64)
+						k := uint64(i % stable)
 						if v, ok := m.Get(tt, k); !ok || v != k+1000 {
 							bad.Add(1)
+						}
+						pk := base | uint64(i*7%128)
+						want, existed := model[pk]
+						switch i % 3 {
+						case 0:
+							if inserted := m.Put(tt, pk, uint64(i)); inserted == existed {
+								bad.Add(1)
+							}
+							model[pk] = uint64(i)
+						case 1:
+							if got, ok := m.Get(tt, pk); ok != existed || got != want {
+								bad.Add(1)
+							}
+						case 2:
+							if removed := m.Delete(tt, pk); removed != existed {
+								bad.Add(1)
+							}
+							delete(model, pk)
 						}
 						if r == rcuarray.QSBR && i%64 == 0 {
 							tt.Checkpoint()
 						}
 					}
+					modelLen.Add(int64(len(model)))
 				})
 			})
 			if bad.Load() != 0 {
-				t.Fatalf("%d stable-key lookups failed during churn", bad.Load())
+				t.Fatalf("%d lookups or updates disagreed with the models during churn", bad.Load())
+			}
+			if got, want := int64(m.Len(task)), stable+modelLen.Load(); got != want {
+				t.Fatalf("Len = %d, want %d from the models", got, want)
 			}
 		})
 	})

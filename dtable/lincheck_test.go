@@ -111,7 +111,7 @@ func runTableLincheck(t *testing.T, mode rcuarray.Reclaim, seed uint64) {
 		d.Close()
 
 		h := d.History()
-		if rep := check.CheckKV(h, 0); !rep.Ok || rep.Inconclusive > 0 {
+		if rep := check.CheckKV(h); !rep.Ok || rep.Inconclusive > 0 {
 			t.Fatalf("dtable lincheck failed, seed %d:\n%v\nhistory:\n%s", seed, rep, h.EncodeString())
 		}
 		// Let QSBR defers from bucket publication drain before Shutdown.

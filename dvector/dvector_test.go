@@ -216,23 +216,45 @@ func TestRange(t *testing.T) {
 	})
 }
 
+// Every locale pushes and reads committed slots while locale 0 also pops:
+// pushes - pops == Len, and no value is observed twice across the popped
+// values and the survivors.
 func TestConcurrentPushersAndReaders(t *testing.T) {
 	bothReclaims(t, func(t *testing.T, r rcuarray.Reclaim) {
 		c := newCluster(t, 3)
 		c.Run(func(task *rcuarray.Task) {
 			v := dvector.New[int64](task, dvector.Options{BlockSize: 32, Reclaim: r})
 			const perLocale = 1000
+			// Only locale 0 pops, so its own reads span all of Len. It
+			// pushes before each pop, so Len falls at most 1 below a value
+			// another locale samples: there an index below Len-1 stays
+			// committed until the read lands. floor only keeps the pops
+			// from draining the vector.
+			const floor = 64
 			var badReads atomic.Int64
+			var popped []int64
 			task.Coforall(func(sub *rcuarray.Task) {
 				id := sub.Here().ID()
 				for i := 0; i < perLocale; i++ {
 					v.Push(sub, int64(id*perLocale+i))
-					if n := v.Len(); n > 0 {
+					n := v.Len()
+					if id != 0 {
+						n--
+					}
+					if n > 0 {
 						// Any committed element must read back without
-						// panicking, even mid-growth.
-						x := v.At(sub, (id*31+i)%n)
-						if x < 0 || x >= 3*perLocale {
-							badReads.Add(1)
+						// panicking, even mid-growth; n-1 is the newest
+						// one this locale may read, the likeliest to sit
+						// in a block the growth is still adding.
+						for _, k := range []int{(id*31 + i) % n, n - 1} {
+							if x := v.At(sub, k); x < 0 || x >= 3*perLocale {
+								badReads.Add(1)
+							}
+						}
+					}
+					if id == 0 && i%4 == 0 && v.Len() > floor {
+						if x, ok := v.Pop(sub); ok {
+							popped = append(popped, x)
 						}
 					}
 					if r == rcuarray.QSBR && i%128 == 0 {
@@ -243,11 +265,20 @@ func TestConcurrentPushersAndReaders(t *testing.T) {
 			if badReads.Load() != 0 {
 				t.Fatalf("%d out-of-domain reads", badReads.Load())
 			}
-			if v.Len() != 3*perLocale {
-				t.Fatalf("Len = %d, want %d", v.Len(), 3*perLocale)
+			if len(popped) == 0 {
+				t.Fatal("no pops ran")
 			}
-			// Every value present exactly once.
+			if got, want := v.Len(), 3*perLocale-len(popped); got != want {
+				t.Fatalf("Len = %d, want pushes-pops = %d", got, want)
+			}
+			// Every value present exactly once, popped or surviving.
 			seen := make(map[int64]bool)
+			for _, x := range popped {
+				if seen[x] {
+					t.Errorf("popped %d twice", x)
+				}
+				seen[x] = true
+			}
 			v.Range(task, func(i int, x int64) bool {
 				if seen[x] {
 					t.Errorf("duplicate %d", x)

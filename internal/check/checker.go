@@ -42,8 +42,9 @@ type Result struct {
 }
 
 // DefaultMaxSteps bounds the WGL search per partition. Partitioned register
-// histories need orders of magnitude less; the bound exists so an online
-// checker (rcutorture -lincheck) cannot stall on a pathological window.
+// histories need orders of magnitude less; the bound exists so a
+// pathological history ends as Inconclusive instead of stalling the test
+// that checks it.
 const DefaultMaxSteps = 1 << 22
 
 type event struct {
@@ -262,8 +263,9 @@ func (r Report) String() string {
 // CheckArray checks an array history: element ops (load/store) are
 // partitioned by index against a register model; grow/shrink/len form a
 // capacity partition. Ckpt ops and unknown kinds are ignored; panicked ops
-// are excluded and counted. maxSteps bounds each partition's search.
-func CheckArray(h *History, maxSteps int) Report {
+// are excluded and counted. Each partition's search is bounded by
+// DefaultMaxSteps.
+func CheckArray(h *History) Report {
 	rep := Report{Ok: true}
 	elems := make(map[int][]Op)
 	var capOps []Op
@@ -281,7 +283,7 @@ func CheckArray(h *History, maxSteps int) Report {
 	}
 
 	addResult := func(name string, m Model, ops []Op) {
-		res := Check(m, ops, maxSteps)
+		res := Check(m, ops, 0)
 		rep.Partitions++
 		if res.Inconclusive {
 			rep.Inconclusive++
@@ -309,7 +311,7 @@ func CheckArray(h *History, maxSteps int) Report {
 
 // CheckKV checks a key-value history (put/get/del) partitioned by key, each
 // against the presence/value model of KVModel.
-func CheckKV(h *History, maxSteps int) Report {
+func CheckKV(h *History) Report {
 	rep := Report{Ok: true}
 	keys := make(map[int][]Op)
 	for _, o := range h.Ops {
@@ -328,7 +330,7 @@ func CheckKV(h *History, maxSteps int) Report {
 	}
 	sort.Ints(ks)
 	for _, k := range ks {
-		res := Check(KVModel(), keys[k], maxSteps)
+		res := Check(KVModel(), keys[k], 0)
 		rep.Partitions++
 		if res.Inconclusive {
 			rep.Inconclusive++

@@ -184,7 +184,7 @@ func TestCheckArrayPartitionsAndRejects(t *testing.T) {
 		op(1, KindLoad, 3, 0, 7, 7, 8),
 		op(0, KindLen, 0, 0, 16, 9, 10),
 	}
-	rep := CheckArray(h, 0)
+	rep := CheckArray(h)
 	if !rep.Ok {
 		t.Fatalf("valid array history rejected: %v", rep)
 	}
@@ -201,7 +201,7 @@ func TestCheckArrayPartitionsAndRejects(t *testing.T) {
 		op(1, KindStore, 3, 8, 0, 6, 9), // overlaps the grow; dropped by the buggy impl
 		op(1, KindLoad, 3, 0, 7, 11, 12),
 	}
-	rep = CheckArray(h, 0)
+	rep = CheckArray(h)
 	if rep.Ok {
 		t.Fatal("dropped-write-during-grow history accepted")
 	}
@@ -220,7 +220,7 @@ func TestCheckPanickedOpsExcluded(t *testing.T) {
 		{Task: 1, Kind: KindLoad, Idx: 99, Call: 3, Ret: 4, Panic: "out of range"},
 		op(0, KindLoad, 0, 0, 0, 5, 6),
 	}
-	rep := CheckArray(h, 0)
+	rep := CheckArray(h)
 	if !rep.Ok || rep.Panics != 1 {
 		t.Fatalf("panicked op handling wrong: %v (panics=%d)", rep, rep.Panics)
 	}

@@ -172,7 +172,7 @@ func TestGenAcceptsCorrectFake(t *testing.T) {
 		f := &fakeArray{bs: 8}
 		h := GenArrayHistory(d, sameTargets(f, 3), GenConfig{BlockSize: 8, Steps: 60, Shrink: true})
 		d.Close()
-		if rep := CheckArray(h, 0); !rep.Ok {
+		if rep := CheckArray(h); !rep.Ok {
 			t.Fatalf("seed %d: correct fake array rejected: %v\n%s", seed, rep, h.EncodeString())
 		}
 	}
@@ -202,7 +202,7 @@ func TestGenRejectsDroppyFake(t *testing.T) {
 		dr.dropping = false
 		d.Do(1, Op{Kind: KindLoad, Idx: 3}, func(op *Op) { op.Out = dr.Load(op.Idx) })
 
-		return CheckArray(h, 0), h.EncodeString()
+		return CheckArray(h), h.EncodeString()
 	}
 	rep1, enc1 := run(3)
 	rep2, enc2 := run(3)

@@ -36,7 +36,7 @@ func Example() {
 	h := d.History()
 	h.BlockSize = 8
 	h.Base = 16
-	rep := check.CheckArray(h, 0)
+	rep := check.CheckArray(h)
 	fmt.Printf("seed=%d ops=%d verdict: %v\n", h.Seed, len(h.Ops), rep)
 	// Output:
 	// seed=42 ops=3 verdict: linearizable (2 partitions, 0 inconclusive, 0 panics)

@@ -104,7 +104,7 @@ func runLincheckSuite(t *testing.T, v Variant) {
 
 	if *lincheckSeed != 0 {
 		h := runLincheckHistory(t, c, v, *lincheckSeed, nil)
-		rep := check.CheckArray(h, 0)
+		rep := check.CheckArray(h)
 		t.Logf("replayed seed %d (%s):\n%s", *lincheckSeed, rep, h.EncodeString())
 		if !rep.Ok {
 			t.Fatalf("seed %d: %v", *lincheckSeed, rep)
@@ -120,7 +120,7 @@ func runLincheckSuite(t *testing.T, v Variant) {
 	for i := 0; i < histories; i++ {
 		seed := base + uint64(i)
 		h := runLincheckHistory(t, c, v, seed, nil)
-		rep := check.CheckArray(h, 0)
+		rep := check.CheckArray(h)
 		if rep.Inconclusive > 0 {
 			t.Fatalf("seed %d: %d partitions inconclusive (budget too small for the generator?)", seed, rep.Inconclusive)
 		}
@@ -190,7 +190,7 @@ func TestLincheckRejectsDroppedWriteDuringGrow(t *testing.T) {
 			dropping = false
 			d.Do(1, check.Op{Kind: check.KindLoad, Idx: 3}, func(op *check.Op) { op.Out = tg[1].Load(op.Idx) })
 
-			rep = check.CheckArray(h, 0)
+			rep = check.CheckArray(h)
 			enc = h.EncodeString()
 			a.Destroy(lts[0])
 		})
@@ -265,7 +265,7 @@ func TestLincheckMidInstallRegionRead(t *testing.T) {
 
 				h := d.History()
 				h.BlockSize = lincheckBlockSize
-				if rep := check.CheckArray(h, 0); !rep.Ok {
+				if rep := check.CheckArray(h); !rep.Ok {
 					t.Fatalf("mid-install history rejected: %v\n%s", rep, h.EncodeString())
 				}
 				a.Destroy(lts[0])
@@ -317,7 +317,7 @@ func TestLincheckRejectsTornRegionView(t *testing.T) {
 			d.Do(1, check.Op{Kind: check.KindLoad, Idx: r0}, tornRead(1, r0))
 			d.Do(1, check.Op{Kind: check.KindLoad, Idx: r1}, tornRead(1, r1))
 
-			rep = check.CheckArray(h, 0)
+			rep = check.CheckArray(h)
 			enc = h.EncodeString()
 			a.Destroy(lts[0])
 		})
@@ -439,7 +439,7 @@ func TestLincheckEBRGrowWaitsForReader(t *testing.T) {
 			h := d.History()
 			h.BlockSize = lincheckBlockSize
 			return h
-		}(), 0)
+		}())
 		if !rep.Ok {
 			t.Fatalf("window history rejected: %v", rep)
 		}

@@ -151,6 +151,10 @@ func TestLemma1AtMostTwoLiveSnapshots(t *testing.T) {
 
 // Concurrent read/update/resize torture across variants and locales: the
 // paper's headline property is that none of this crashes or loses data.
+// Every task stores tagged values into a private 3-element stripe and checks
+// each load against its own model, while one task per locale grows and task
+// (0,0) also shrinks, never below the stripes. After Destroy and a drain no
+// block is live.
 func TestTortureMixedOperations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("torture test skipped in -short mode")
@@ -159,9 +163,10 @@ func TestTortureMixedOperations(t *testing.T) {
 		c := newTestCluster(t, 3, 3)
 		c.Run(func(task *locale.Task) {
 			const blockSize = 8
-			a := New[int64](task, Options{BlockSize: blockSize, Variant: v, InitialCapacity: 4 * blockSize})
+			const floor = 4 * blockSize // covers all 9 stripes
+			a := New[int64](task, Options{BlockSize: blockSize, Variant: v, InitialCapacity: floor})
 
-			var failures atomic.Int64
+			var failures, shrinks atomic.Int64
 			task.Coforall(func(sub *locale.Task) {
 				sub.ForAllTasks(3, func(tt *locale.Task, id int) {
 					defer func() {
@@ -170,23 +175,32 @@ func TestTortureMixedOperations(t *testing.T) {
 							t.Errorf("locale %d task %d panicked: %v", tt.Here().ID(), id, r)
 						}
 					}()
-					// Disjoint 3-element stripe per task for stores;
-					// loads may touch any committed slot only through
-					// values this task wrote (plain-memory elements).
-					base := (tt.Here().ID()*3 + id) * 3
+					slot := tt.Here().ID()*3 + id
+					base := slot * 3
+					var model [3]int64
 					for i := 0; i < 400; i++ {
-						idx := base + i%3
-						switch i % 4 {
-						case 0:
-							a.Store(tt, idx, int64(idx))
-						case 3:
-							if id == 0 && i%100 == 3 {
-								a.Grow(tt, blockSize)
+						off := i % 3
+						idx := base + off
+						switch {
+						case i%4 == 0:
+							tag := int64(slot)<<32 | int64(i)
+							a.Store(tt, idx, tag)
+							model[off] = tag
+						case id == 0 && i%100 == 3:
+							// Only task (0,0) shrinks, one block at a
+							// time, and growers never lower Len: the
+							// array stays at or above floor.
+							if slot == 0 && i%200 == 103 && a.Len(tt) > floor {
+								a.Shrink(tt, blockSize)
+								shrinks.Add(1)
 							} else {
-								a.Load(tt, idx)
+								a.Grow(tt, blockSize)
 							}
 						default:
-							a.Load(tt, idx)
+							if got := a.Load(tt, idx); got != model[off] {
+								failures.Add(1)
+								t.Errorf("slot %d: a[%d] = %#x, want %#x", slot, idx, got, model[off])
+							}
 						}
 						if v == VariantQSBR && i%32 == 0 {
 							tt.Checkpoint()
@@ -195,7 +209,19 @@ func TestTortureMixedOperations(t *testing.T) {
 				})
 			})
 			if failures.Load() != 0 {
-				t.Fatalf("%d task(s) panicked", failures.Load())
+				t.Fatalf("%d failed operation(s)", failures.Load())
+			}
+			// Task (0,0) grew at i=3 and i=203, so both of its shrinks ran.
+			if got := shrinks.Load(); got != 2 {
+				t.Fatalf("%d shrinks ran, want 2", got)
+			}
+
+			a.Destroy(task)
+			for i := 0; i < 1000 && clusterLiveBlocks(c) != 0; i++ {
+				task.Checkpoint()
+			}
+			if live := clusterLiveBlocks(c); live != 0 {
+				t.Fatalf("%d blocks still live after Destroy and drain", live)
 			}
 		})
 	})

@@ -194,16 +194,6 @@ func NewArrayNodeOpts(addr string, opts NodeOptions) (*ArrayNode, error) {
 	return n, nil
 }
 
-// HoldReader enters the node's EBR domain on the given reader slot and
-// returns the release. It is the chaos harness's stalled-reader fault: while
-// held, any install's Synchronize on this node cannot complete, so an armed
-// watchdog must fire — exactly once — naming this slot.
-func (n *ArrayNode) HoldReader(slot int) func() {
-	//rcuvet:ignore fault-injection hook: the leak is the fault; the caller releases via the returned closure
-	g := n.dom.EnterSlot(slot)
-	return g.Exit
-}
-
 // Obs returns the node's observability registry: protocol counters, EBR
 // grace-period metrics, and transport request counters. rcunode serves it
 // over /metrics.

@@ -5,7 +5,6 @@ package dist
 // install (no resurrection), and the kill-between-flips convergence audit.
 
 import (
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -322,28 +321,7 @@ func TestChaosKillBetweenRegionFlips(t *testing.T) {
 	}
 
 	// Node 2 dies right after publishing its first region of the next grow.
-	// Close must run off the handler goroutine (it joins handlers), so the
-	// hook fires it async and parks until the listener is provably down —
-	// by then Close has also severed the live connections, so the in-flight
-	// install cannot be acknowledged.
-	addr2 := nodes[2].Addr()
-	var once sync.Once
-	nodes[2].SetInstallHook(func(k, total int) {
-		if k == 0 {
-			once.Do(func() {
-				go nodes[2].Close()
-				for i := 0; i < 1000; i++ {
-					c, err := net.Dial("tcp", addr2)
-					if err != nil {
-						break
-					}
-					c.Close()
-					time.Sleep(2 * time.Millisecond)
-				}
-				time.Sleep(10 * time.Millisecond)
-			})
-		}
-	})
+	closeBetweenFlips(nodes[2])
 
 	if err := d.Grow(8 * 6); err == nil { // 2 -> 8 blocks: regions [2,4) [4,6) [6,8)
 		t.Fatal("Grow succeeded with a node dying between region flips")

@@ -1,10 +1,12 @@
-// Chaos mode: seeded fault schedules over distributed RCUArray workloads.
+package dist
+
+// Seeded chaos scenarios over a real loopback cluster.
 //
-// Each round spins up a fresh in-process cluster (real TCP over loopback),
-// picks a failure scenario from the round's RNG — connection-fault storm,
-// node kill mid-resize, network partition, or a crashed lease holder — runs
-// a grow/write/read workload through it, and then audits the protocol
-// invariants:
+// Each round spins up a fresh 3-node cluster, runs a grow/write/read
+// workload through one failure scenario — connection-fault storm, node kill
+// mid-resize, network partition, crashed lease holder, node death between
+// region flips, or kill-restart-rejoin from disk — and then audits the
+// protocol invariants:
 //
 //   - no lost acknowledged writes: every write the driver acked reads back
 //     with the same value on reachable nodes;
@@ -13,29 +15,53 @@
 //   - the write lock is always released or expired: a fresh acquire/release
 //     cycle succeeds at the end of the round;
 //   - a resize that hits a dead node aborts cleanly and reads keep serving
-//     the old snapshot.
+//     the old snapshot;
+//   - every node's 250ms grace-period stall watchdog stays silent, except in
+//     the induced stalled-reader round, which must draw exactly one warning.
 //
-// Every decision descends from the printed seed, so a failing run is
-// reproduced with -seed.
-package main
+// Every decision descends from the seed in the subtest name, so one case
+// replays alone:
+//
+//	go test ./internal/dist -run 'TestChaosScenarios/rotate/seed=7$' -chaos.seeds 7
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
+	"testing"
 	"time"
 
 	"rcuarray/internal/comm"
-	"rcuarray/internal/dist"
 	"rcuarray/internal/ebr"
 	"rcuarray/internal/obs"
 	"rcuarray/internal/workload"
 )
 
-const chaosBlock = 8
+// chaosSeeds is the one knob of TestChaosScenarios. The default pair is the
+// smallest seed set whose rotation draws all six scenarios (13: partition,
+// fault-storm, stale-lease, node-kill; 14: region-kill, recover, node-kill,
+// fault-storm), which keeps a plain `go test ./...` near three extra seconds;
+// ci.sh's chaos and recover tiers pass seeds 1..24.
+var chaosSeeds = flag.String("chaos.seeds", "13,14", "comma- or space-separated seed list for TestChaosScenarios")
+
+const (
+	chaosBlock = 8
+	// chaosRotateRounds and chaosRecoverRounds are the per-seed round counts
+	// of the rotated and the forced-recover sets.
+	chaosRotateRounds  = 4
+	chaosRecoverRounds = 3
+	// chaosStallSeed drives the induced stalled-reader round.
+	chaosStallSeed = 7
+	// roleChaos is mixed into every round seed; changing it changes which
+	// scenarios seed N draws.
+	roleChaos uint64 = 5
+)
 
 type chaosScenario int
 
@@ -47,10 +73,9 @@ const (
 	chaosRegionKill
 	chaosRecover
 	numChaosScenarios
-	// chaosStall sits past numChaosScenarios: it is forced-only (via
-	// -chaos-scenario stalled-reader), never drawn by seed rotation, because
-	// it *induces* a stall — the rotation rounds are the watchdog's
-	// false-positive gate and must stay stall-free.
+	// chaosStall sits past numChaosScenarios: it is never drawn by seed
+	// rotation, because it *induces* a stall — the rotation rounds are the
+	// watchdog's false-positive gate and must stay stall-free.
 	chaosStall
 )
 
@@ -58,48 +83,73 @@ func (s chaosScenario) String() string {
 	return [...]string{"fault-storm", "node-kill", "partition", "stale-lease", "region-kill", "recover", "", "stalled-reader"}[s]
 }
 
-// parseChaosScenario maps a -chaos-scenario flag value to its enum, or -1 for
-// the empty string (rotate by seed).
-func parseChaosScenario(name string) (chaosScenario, error) {
-	if name == "" {
-		return -1, nil
+// taskSeed derives a seed from a base seed and any number of discriminators
+// (role, round, index ...) with the SplitMix64 finalizer, so nearby rounds
+// get decorrelated streams and one seed reproduces every RNG in a round.
+func taskSeed(seed uint64, parts ...uint64) uint64 {
+	h := seed
+	for _, p := range parts {
+		h ^= p
+		h += 0x9e3779b97f4a7c15
+		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+		h ^= h >> 31
 	}
-	for s := chaosScenario(0); s <= chaosStall; s++ {
-		if s != numChaosScenarios && s.String() == name {
-			return s, nil
-		}
-	}
-	return -1, fmt.Errorf("unknown chaos scenario %q", name)
+	return h
 }
 
-func chaosTorture(seed uint64, rounds int, obsDump bool, forced chaosScenario) bool {
-	ok := true
-	var stallWarnings atomic.Uint64
-	for round := 0; round < rounds; round++ {
-		rseed := taskSeed(seed, roleChaos, uint64(round))
-		scenario := chaosScenario(rseed % uint64(numChaosScenarios))
-		if forced >= 0 {
-			scenario = forced
+func parseChaosSeeds(t *testing.T) []uint64 {
+	t.Helper()
+	var seeds []uint64
+	for _, f := range strings.FieldsFunc(*chaosSeeds, func(r rune) bool { return r == ',' || r == ' ' }) {
+		s, err := strconv.ParseUint(f, 10, 64)
+		if err != nil {
+			t.Fatalf("-chaos.seeds: %v", err)
 		}
-		fmt.Printf("=== chaos round %d/%d: scenario %s (round seed %d) ===\n",
-			round+1, rounds, scenario, rseed)
-		// Each round gets a fresh driver-side registry so a dump shows only
-		// the failing round's counters and trace rings.
-		var reg *obs.Registry
-		if obsDump {
-			reg = obs.NewRegistry()
-		}
-		if err := chaosRound(scenario, rseed, reg, &stallWarnings); err != nil {
-			fmt.Printf("  FAIL: %v\n", err)
-			ok = false
+		seeds = append(seeds, s)
+	}
+	if len(seeds) == 0 {
+		t.Fatal("-chaos.seeds is empty")
+	}
+	return seeds
+}
+
+func TestChaosScenarios(t *testing.T) {
+	seeds := parseChaosSeeds(t)
+	round := func(t *testing.T, scenario chaosScenario, seed uint64) {
+		if err := chaosRound(t, scenario, seed); err != nil {
+			t.Fatalf("%s, round seed %d: %v", scenario, seed, err)
 		}
 	}
-	if obsDump || forced == chaosStall {
-		// Machine-parsed by ci.sh's obs tier: over seed-rotated rounds every
-		// warning is a watchdog false positive, so the gate wants 0 here.
-		fmt.Printf("chaos stall warnings: %d\n", stallWarnings.Load())
-	}
-	return ok
+	t.Run("rotate", func(t *testing.T) {
+		for _, seed := range seeds {
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+				for r := 0; r < chaosRotateRounds; r++ {
+					rseed := taskSeed(seed, roleChaos, uint64(r))
+					scenario := chaosScenario(rseed % uint64(numChaosScenarios))
+					t.Run(fmt.Sprintf("round=%d-%s", r+1, scenario), func(t *testing.T) {
+						round(t, scenario, rseed)
+					})
+				}
+			})
+		}
+	})
+	// Every round forced to recover, so each seed runs a full snapshot ->
+	// kill-mid-resize -> restart-from-disk -> rejoin-and-audit cycle.
+	t.Run("recover", func(t *testing.T) {
+		for _, seed := range seeds {
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+				for r := 0; r < chaosRecoverRounds; r++ {
+					t.Run(fmt.Sprintf("round=%d", r+1), func(t *testing.T) {
+						round(t, chaosRecover, taskSeed(seed, roleChaos, uint64(r)))
+					})
+				}
+			})
+		}
+	})
+	t.Run("stalled-reader", func(t *testing.T) {
+		round(t, chaosStall, taskSeed(chaosStallSeed, roleChaos, 0))
+	})
 }
 
 // stallRecord captures one watchdog warning with the node it fired on.
@@ -108,13 +158,15 @@ type stallRecord struct {
 	rep  ebr.StallReport
 }
 
-func chaosRound(scenario chaosScenario, seed uint64, reg *obs.Registry, stallTotal *atomic.Uint64) (retErr error) {
-	if scenario == chaosStall {
-		// The watchdog samples grace-period state the domain only publishes
-		// under obs.On().
-		obs.SetEnabled(true)
-	}
-	opts := dist.Options{
+// chaosRound runs one scenario on a fresh cluster and returns the first
+// broken invariant. On failure it logs the flight recorder of the driver and
+// of every node.
+func chaosRound(t *testing.T, scenario chaosScenario, seed uint64) (retErr error) {
+	// The watchdog samples grace-period state the domain only publishes
+	// under obs.On().
+	withObsOn(t)
+	reg := obs.NewRegistry()
+	opts := Options{
 		CallTimeout:    300 * time.Millisecond,
 		Retries:        4,
 		RetryBase:      2 * time.Millisecond,
@@ -140,11 +192,9 @@ func chaosRound(scenario chaosScenario, seed uint64, reg *obs.Registry, stallTot
 		opts.Part = part
 	case chaosStaleLease:
 		opts.LockTTL = 300 * time.Millisecond
-	case chaosRegionKill:
+	case chaosRegionKill, chaosRecover:
 		// Fine-grained incremental installs: a multi-block grow publishes
 		// several region flips per node, opening real between-flip windows.
-		opts.RegionBlocks = 2
-	case chaosRecover:
 		opts.RegionBlocks = 2
 	case chaosStall:
 		// The pinned reader blocks the install's Synchronize for ~600ms; the
@@ -152,78 +202,60 @@ func chaosRound(scenario chaosScenario, seed uint64, reg *obs.Registry, stallTot
 		opts.CallTimeout = 3 * time.Second
 	}
 
-	// Every round arms each node's grace-period stall watchdog when
-	// observability is recording: over seed-rotated scenarios any warning is a
-	// false positive (nothing holds a reader past the threshold), so the
-	// recorded warnings feed ci.sh's false-positive gate. The stalled-reader
-	// scenario is the one place a warning is *demanded*.
-	stallTO := time.Duration(0)
-	if reg != nil || scenario == chaosStall {
-		stallTO = 250 * time.Millisecond
-	}
-	var stallMu sync.Mutex
-	var stalls []stallRecord
 	// The recover scenario gives every node a data dir so resize milestones
 	// are WAL'd and the victim can snapshot, crash, and rejoin.
-	var nodes []*dist.ArrayNode
-	var stop func()
 	var dirs []string
 	if scenario == chaosRecover {
-		base, err := os.MkdirTemp("", "rcutorture-recover-")
-		if err != nil {
-			return fmt.Errorf("mkdir temp: %w", err)
-		}
-		defer os.RemoveAll(base)
+		base := t.TempDir()
 		dirs = make([]string, 3)
 		for i := range dirs {
 			dirs[i] = filepath.Join(base, fmt.Sprintf("n%d", i))
 		}
 	}
-	{
-		var err error
-		nodes, stop, err = dist.SpawnLocalNodesOpts(3, func(i int) dist.NodeOptions {
-			o := dist.NodeOptions{
-				Comm:           comm.NodeConfig{FrameTimeout: 2 * time.Second},
-				StallThreshold: stallTO,
-			}
-			if dirs != nil {
-				o.DataDir = dirs[i]
-			}
-			if stallTO > 0 {
-				o.OnStall = func(rep ebr.StallReport) {
-					stallTotal.Add(1)
-					stallMu.Lock()
-					stalls = append(stalls, stallRecord{node: i, rep: rep})
-					stallMu.Unlock()
-				}
-			}
-			return o
-		})
-		if err != nil {
-			return fmt.Errorf("spawn: %w", err)
+	var nodes []*ArrayNode
+	// Deferred first, so it runs last: the registries are final once every
+	// node has stopped.
+	defer func() {
+		if retErr != nil || t.Failed() {
+			logFlightRecorder(t, reg, nodes)
 		}
+	}()
+	var stallMu sync.Mutex
+	var stalls []stallRecord
+	// Runs after stop() has halted every watchdog. Outside stalled-reader
+	// nothing holds a reader past the threshold, so any warning is a false
+	// positive.
+	defer func() {
+		stallMu.Lock()
+		defer stallMu.Unlock()
+		if retErr == nil && scenario != chaosStall && len(stalls) != 0 {
+			retErr = fmt.Errorf("stall watchdog fired %d false positive(s): %+v", len(stalls), stalls)
+		}
+	}()
+	nodes, stop, err := SpawnLocalNodesOpts(3, func(i int) NodeOptions {
+		o := NodeOptions{
+			Comm:           comm.NodeConfig{FrameTimeout: 2 * time.Second},
+			StallThreshold: 250 * time.Millisecond,
+			OnStall: func(rep ebr.StallReport) {
+				stallMu.Lock()
+				stalls = append(stalls, stallRecord{node: i, rep: rep})
+				stallMu.Unlock()
+			},
+		}
+		if dirs != nil {
+			o.DataDir = dirs[i]
+		}
+		return o
+	})
+	if err != nil {
+		return fmt.Errorf("spawn: %w", err)
 	}
 	defer stop()
-	if reg != nil {
-		// On failure, dump the flight recorder: the driver's counters and
-		// resize track plus each in-process node's registry (install/abort
-		// spans, fenced rejections, grace-period histogram).
-		defer func() {
-			if retErr == nil {
-				return
-			}
-			dumpRegistry(os.Stderr, fmt.Sprintf("driver, seed %d", seed), reg)
-			for i, n := range nodes {
-				dumpRegistry(os.Stderr, fmt.Sprintf("node %d", i), n.Obs())
-			}
-			writeTraceFile(fmt.Sprintf("rcutorture-chaos-%d.trace.json", seed), reg)
-		}()
-	}
 	addrs := make([]string, len(nodes))
 	for i, n := range nodes {
 		addrs[i] = n.Addr()
 	}
-	d, err := dist.ConnectOpts(addrs, chaosBlock, opts)
+	d, err := ConnectOpts(addrs, chaosBlock, opts)
 	if err != nil {
 		return fmt.Errorf("connect: %w", err)
 	}
@@ -286,7 +318,7 @@ func chaosRound(scenario chaosScenario, seed uint64, reg *obs.Registry, stallTot
 		if inj.Total() == 0 {
 			return fmt.Errorf("fault plan injected nothing")
 		}
-		fmt.Printf("  injected faults: %d (plan seed %d)\n", inj.Total(), seed)
+		t.Logf("injected faults: %d (plan seed %d)", inj.Total(), seed)
 	case chaosKill:
 		// Kill a block owner (never node 0 — it hosts the lock service),
 		// then resize into the hole: the grow must abort cleanly and the
@@ -337,28 +369,7 @@ func chaosRound(scenario chaosScenario, seed uint64, reg *obs.Registry, stallTot
 		if err != nil {
 			return fmt.Errorf("pre-kill table audit: %w", err)
 		}
-		deadAddr := nodes[dead].Addr()
-		var once sync.Once
-		nodes[dead].SetInstallHook(func(k, total int) {
-			if k != 0 {
-				return
-			}
-			once.Do(func() {
-				// Close joins handler goroutines, so it cannot run on this
-				// one; fire it async and wait for the listener to die (by
-				// then the live connections are severed too).
-				go nodes[dead].Close()
-				for i := 0; i < 1000; i++ {
-					c, err := net.Dial("tcp", deadAddr)
-					if err != nil {
-						break
-					}
-					c.Close()
-					time.Sleep(2 * time.Millisecond)
-				}
-				time.Sleep(10 * time.Millisecond)
-			})
-		})
+		closeBetweenFlips(nodes[dead])
 		if err := d.Grow(chaosBlock * 8); err == nil {
 			return fmt.Errorf("multi-region grow succeeded with node %d dying between flips", dead)
 		}
@@ -373,13 +384,8 @@ func chaosRound(scenario chaosScenario, seed uint64, reg *obs.Registry, stallTot
 			if err != nil {
 				return fmt.Errorf("NodeTable(%d): %w", node, err)
 			}
-			if len(got) != len(oldTable) {
-				return fmt.Errorf("survivor %d torn after region kill: %d blocks, want %d", node, len(got), len(oldTable))
-			}
-			for i := range got {
-				if got[i] != oldTable[i] {
-					return fmt.Errorf("survivor %d torn after region kill: block %d is %v, want %v", node, i, got[i], oldTable[i])
-				}
+			if !tablesEqual(got, oldTable) {
+				return fmt.Errorf("survivor %d torn after region kill: %v, want %v", node, got, oldTable)
 			}
 		}
 	case chaosRecover:
@@ -401,48 +407,22 @@ func chaosRound(scenario chaosScenario, seed uint64, reg *obs.Registry, stallTot
 			return fmt.Errorf("pre-kill table audit: %w", err)
 		}
 		deadAddr := nodes[dead].Addr()
-		var once sync.Once
-		nodes[dead].SetInstallHook(func(k, total int) {
-			if k != 0 {
-				return
-			}
-			once.Do(func() {
-				go nodes[dead].Close()
-				for i := 0; i < 1000; i++ {
-					c, err := net.Dial("tcp", deadAddr)
-					if err != nil {
-						break
-					}
-					c.Close()
-					time.Sleep(2 * time.Millisecond)
-				}
-				time.Sleep(10 * time.Millisecond)
-			})
-		})
+		closeBetweenFlips(nodes[dead])
 		if err := d.Grow(chaosBlock * 8); err == nil {
 			return fmt.Errorf("multi-region grow succeeded with node %d dying between flips", dead)
 		}
 		if d.Len() != oldLen {
 			return fmt.Errorf("aborted region grow changed Len: %d -> %d", oldLen, d.Len())
 		}
-		revived, err := restartChaosNode(deadAddr, dirs[dead])
-		if err != nil {
-			return fmt.Errorf("restarting node %d: %w", dead, err)
-		}
-		defer revived.Close()
+		restartNode(t, deadAddr, dirs[dead])
 		// The rejoined node adopted the survivors' rollback, not its own
 		// replayed partial install.
 		gotTable, err := d.NodeTable(dead)
 		if err != nil {
 			return fmt.Errorf("NodeTable(%d) after rejoin: %w", dead, err)
 		}
-		if len(gotTable) != len(oldTable) {
-			return fmt.Errorf("rejoined node %d resurrected aborted table: %d blocks, want %d", dead, len(gotTable), len(oldTable))
-		}
-		for i := range gotTable {
-			if gotTable[i] != oldTable[i] {
-				return fmt.Errorf("rejoined node %d table block %d is %v, want %v", dead, i, gotTable[i], oldTable[i])
-			}
+		if !tablesEqual(gotTable, oldTable) {
+			return fmt.Errorf("rejoined node %d resurrected aborted table: %v, want %v", dead, gotTable, oldTable)
 		}
 		stats, err := d.Stats()
 		if err != nil {
@@ -451,7 +431,7 @@ func chaosRound(scenario chaosScenario, seed uint64, reg *obs.Registry, stallTot
 		if stats[dead].Recoveries == 0 {
 			return fmt.Errorf("rejoined node %d reports no recovery", dead)
 		}
-		fmt.Printf("  node %d rejoined: %d WAL records replayed\n", dead, stats[dead].WALReplayed)
+		t.Logf("node %d rejoined: %d WAL records replayed", dead, stats[dead].WALReplayed)
 		dead = -1 // fully healed: the audit gets no unreachability exemption
 		// The healed cluster keeps serving and resizing.
 		if err := mixedOps(40); err != nil {
@@ -465,7 +445,7 @@ func chaosRound(scenario chaosScenario, seed uint64, reg *obs.Registry, stallTot
 		// complete normally once the reader lets go.
 		const stallSlot = 3
 		victim := 1 + int(taskSeed(seed, 5)%2)
-		release := nodes[victim].HoldReader(stallSlot)
+		release := nodes[victim].holdReader(stallSlot)
 		relTimer := time.AfterFunc(600*time.Millisecond, release)
 		if err := d.Grow(chaosBlock); err != nil {
 			relTimer.Stop()
@@ -485,43 +465,61 @@ func chaosRound(scenario chaosScenario, seed uint64, reg *obs.Registry, stallTot
 		if r.rep.Slot != stallSlot || r.rep.Site != "enter" {
 			return fmt.Errorf("stall warning named slot %d via %s, want slot %d via enter", r.rep.Slot, r.rep.Site, stallSlot)
 		}
-		fmt.Printf("  stall warning named node %d slot %d via %s after %v (pinned >= %v)\n",
+		t.Logf("stall warning named node %d slot %d via %s after %v (pinned >= %v)",
 			r.node, r.rep.Slot, r.rep.Site,
 			time.Duration(r.rep.GraceAgeNanos), time.Duration(r.rep.PinAgeNanos))
-		// The flight recorder: freeze the blamed node's registry — its grace
-		// histogram, install spans, and the rcu.stall trace instant.
-		dumpRegistry(os.Stderr, fmt.Sprintf("node %d flight recorder (stalled reader)", victim), nodes[victim].Obs())
+		// The blamed node's grace histogram, install spans and rcu.stall
+		// trace instant.
+		t.Log(flightRecorder(fmt.Sprintf("node %d, stalled reader", victim), nodes[victim].Obs()))
 		if err := mixedOps(40); err != nil {
 			return fmt.Errorf("after stall release: %w", err)
 		}
 	}
 
 	// Phase 3: invariant audit.
-	return chaosAudit(d, dead, acked)
+	return chaosAudit(t, d, dead, acked)
 }
 
-// restartChaosNode brings a killed node back on its old address with its old
-// data dir, retrying while the kernel releases the port.
-func restartChaosNode(addr, dir string) (*dist.ArrayNode, error) {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n, err := dist.NewArrayNodeOpts(addr, dist.NodeOptions{
-			Comm:    comm.NodeConfig{FrameTimeout: 2 * time.Second},
-			DataDir: dir,
+// closeBetweenFlips makes n die right after it publishes the first region of
+// its next install. Close joins handler goroutines, so it cannot run on the
+// hook's goroutine: the hook fires it async and parks until the listener is
+// down — by then Close has also severed the live connections, so the
+// in-flight install cannot be acknowledged.
+func closeBetweenFlips(n *ArrayNode) {
+	addr := n.Addr()
+	var once sync.Once
+	n.SetInstallHook(func(k, total int) {
+		if k != 0 {
+			return
+		}
+		once.Do(func() {
+			go n.Close()
+			for i := 0; i < 1000; i++ {
+				c, err := net.Dial("tcp", addr)
+				if err != nil {
+					break
+				}
+				c.Close()
+				time.Sleep(2 * time.Millisecond)
+			}
+			time.Sleep(10 * time.Millisecond)
 		})
-		if err == nil {
-			return n, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, err
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	})
+}
+
+// holdReader enters the node's EBR domain on the given reader slot and
+// returns the release. It is the stalled-reader fault: while held, any
+// install's Synchronize on this node cannot complete, so an armed watchdog
+// must fire — exactly once — naming this slot.
+func (n *ArrayNode) holdReader(slot int) func() {
+	//rcuvet:ignore fault-injection hook: the leak is the fault; the caller releases via the returned closure
+	g := n.dom.EnterSlot(slot)
+	return g.Exit
 }
 
 // chaosAudit checks the cross-node invariants on whatever cluster state the
 // scenario left behind. dead is the index of a killed node, or -1.
-func chaosAudit(d *dist.Driver, dead int, acked map[int]int64) error {
+func chaosAudit(t *testing.T, d *Driver, dead int, acked map[int]int64) error {
 	// No divergent block tables across live nodes.
 	for node := 0; node < d.Nodes(); node++ {
 		if node == dead {
@@ -560,7 +558,65 @@ func chaosAudit(d *dist.Driver, dead int, acked map[int]int64) error {
 	if err := d.ReleaseLock(token); err != nil {
 		return fmt.Errorf("lock not releasable after round: %w", err)
 	}
-	fmt.Printf("  audit: len=%d acked=%d unreachable=%d — invariants hold\n",
-		d.Len(), len(acked), unreachable)
+	t.Logf("audit: len=%d acked=%d unreachable=%d — invariants hold", d.Len(), len(acked), unreachable)
 	return nil
+}
+
+// flightRecorderTail is how many trailing events per trace track the flight
+// recorder prints.
+const flightRecorderTail = 12
+
+// logFlightRecorder logs the driver's and every node's registry — counters,
+// resize track, install/abort spans, fenced rejections, grace-period
+// histogram — and writes the driver's trace rings as Perfetto JSON into a
+// directory that outlives the test.
+func logFlightRecorder(t *testing.T, driver *obs.Registry, nodes []*ArrayNode) {
+	t.Log(flightRecorder("driver", driver))
+	for i, n := range nodes {
+		t.Log(flightRecorder(fmt.Sprintf("node %d", i), n.Obs()))
+	}
+	dir, err := os.MkdirTemp("", "rcuarray-chaos-")
+	if err != nil {
+		t.Logf("flight recorder: %v", err)
+		return
+	}
+	path := filepath.Join(dir, "driver.trace.json")
+	var buf bytes.Buffer
+	if err := driver.Tracer().WriteTrace(&buf); err != nil {
+		t.Logf("flight recorder: %v", err)
+		return
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Logf("flight recorder: %v", err)
+		return
+	}
+	t.Logf("flight recorder: wrote %s (load in Perfetto)", path)
+}
+
+// flightRecorder renders reg as text: its metrics in Prometheus text format,
+// then the last flightRecorderTail events of each trace track.
+func flightRecorder(label string, reg *obs.Registry) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "flight recorder (%s):\n", label)
+	_ = reg.WritePrometheus(&b)
+	byTrack := map[[2]int][]obs.TraceEvent{}
+	var tracks [][2]int
+	for _, ev := range reg.Tracer().Events() {
+		k := [2]int{ev.Pid, ev.Tid}
+		if _, seen := byTrack[k]; !seen {
+			tracks = append(tracks, k)
+		}
+		byTrack[k] = append(byTrack[k], ev)
+	}
+	for _, k := range tracks {
+		evs := byTrack[k]
+		if len(evs) > flightRecorderTail {
+			evs = evs[len(evs)-flightRecorderTail:]
+		}
+		fmt.Fprintf(&b, "track pid=%d tid=%d (last %d events):\n", k[0], k[1], len(evs))
+		for _, ev := range evs {
+			fmt.Fprintf(&b, "  +%-12dns %c %s arg=%d\n", ev.TsNanos, ev.Phase, ev.Name, ev.Arg)
+		}
+	}
+	return b.String()
 }

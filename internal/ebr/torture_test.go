@@ -10,7 +10,7 @@ import (
 )
 
 // torture exercises Lemma 3 (a recorded+verified reader may safely access the
-// current snapshot) in the style of rcutorture: a writer continuously
+// current snapshot) in the style of Linux's rcutorture: a writer continuously
 // replaces a protected object, synchronizes, and retires the old version; a
 // pack of readers continuously dereferences the object inside read-side
 // critical sections. The memory.Object poison turns any premature

@@ -55,7 +55,7 @@ type WatchdogConfig struct {
 	// and the rcu.stall trace instants (obs.Default).
 	Obs *obs.Registry
 	// OnStall, when set, runs on the watchdog goroutine for every warning —
-	// the flight-recorder hook (rcutorture dumps the registry here).
+	// the flight-recorder hook (rcunode dumps the registry here).
 	OnStall func(StallReport)
 }
 

@@ -3,7 +3,7 @@ package workload
 import "testing"
 
 // Golden-value regression tests: the evaluation's reproducibility story
-// (EXPERIMENTS.md seeds, rcutorture -seed, the lincheck replay contract)
+// (EXPERIMENTS.md seeds, TestChaosScenarios -chaos.seeds, the lincheck replay contract)
 // all assume these generators emit the exact same sequences forever. Any
 // change to the SplitMix64 constants, the Intn reduction, the Sequential
 // offset selection, or the Zipfian sampler shows up here as a diff against

@@ -82,7 +82,7 @@ func runPublicLincheck(t *testing.T, mode rcuarray.Reclaim) {
 				Shrink:    true,
 			})
 			d.Close()
-			if rep := check.CheckArray(h, 0); !rep.Ok || rep.Inconclusive > 0 {
+			if rep := check.CheckArray(h); !rep.Ok || rep.Inconclusive > 0 {
 				t.Fatalf("public API lincheck failed, seed %d:\n%v\nhistory:\n%s",
 					seed, rep, h.EncodeString())
 			}
