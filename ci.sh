@@ -7,7 +7,9 @@
 #                                ci: line when gofmt errors; build + vet +
 #                                rcuvet + full test suite, then vet + tests
 #                                of the nested benchmark/ module; no
-#                                race detector; rcuvet is the in-repo static
+#                                race detector; go vet's copylocks carries
+#                                the ebr.Guard copy discipline through its
+#                                noCopy sentinel; rcuvet is the in-repo static
 #                                analysis suite — see DESIGN.md "Static
 #                                analysis". rcuvet runs with -time so the
 #                                per-analyzer wall cost stays visible, and a
@@ -78,7 +80,7 @@ tier1() {
 	fi
 	echo '--- tier-1: go build ./...'
 	go build ./...
-	echo '--- tier-1: go vet ./...'
+	echo '--- tier-1: go vet ./... (copylocks carries the ebr.Guard copy discipline)'
 	go vet ./...
 	echo '--- tier-1: rcuvet -time ./... (RCU/EBR invariant + dataflow-protocol analyzers)'
 	if ! go build -o "$TMP/rcuvet.ci" ./cmd/rcuvet; then

@@ -1,9 +1,12 @@
 // Command rcuvet machine-checks this repository's RCU/EBR concurrency
-// invariants: guard pairing, atomic-access uniformity, seed-purity of the
-// deterministic test fabrics, non-copyable type discipline, and — via the
-// CFG/dataflow passes — grace-period ordering before reclamation,
-// pooled-buffer ownership, and obs gate domination. See DESIGN.md's
-// "Static analysis" section for the invariants each analyzer encodes.
+// invariants: guard pairing, seed-purity of the deterministic test fabrics,
+// and — via the CFG/dataflow passes — grace-period ordering before
+// reclamation, pooled-buffer ownership, and obs gate domination. Copy
+// discipline is go vet's copylocks check (ebr.Guard carries a noCopy
+// sentinel), and atomic access is TestNoAtomicFunctionForms in
+// internal/analysis/suite, which bans sync/atomic's function forms. See
+// DESIGN.md's "Static analysis" section for the invariants each analyzer
+// encodes.
 //
 // Usage:
 //

@@ -4,20 +4,14 @@
 // the real x/tools framework is unavailable; this package reimplements the
 // slice of it that rcuvet needs:
 //
-//   - Analyzer: a named check with a per-package Run and an optional
-//     module-wide Finish (for cross-package invariants such as atomicmix's
-//     "a field atomically accessed anywhere must be atomically accessed
-//     everywhere").
+//   - Analyzer: a named check with a per-package Run.
 //   - Pass: one (analyzer, package) unit of work with the type-checked
 //     syntax and a Reportf sink.
 //   - Runner: applies a set of analyzers to a loaded Module and filters the
 //     diagnostics through //rcuvet:ignore directives.
 //
-// The deliberate departure from x/tools: a Pass sees the whole Module (every
-// source-loaded package, dependency order), not just its own package. The
-// module is small (~20k LoC) and several of the repo's invariants are
-// inherently cross-package, so whole-module visibility replaces the Facts
-// machinery.
+// Every pass checks one package at a time, so there is no counterpart of
+// x/tools' Facts machinery or of a module-wide hook.
 package analysis
 
 import (
@@ -63,7 +57,6 @@ type Package struct {
 type Module struct {
 	Fset     *token.FileSet
 	Packages []*Package
-	ByPath   map[string]*Package
 }
 
 // File returns the *ast.File of pkg containing pos, or nil.
@@ -91,12 +84,8 @@ type Analyzer struct {
 	// use-after-free is never a style call, so the escape hatch must not
 	// reach them — fix the code or change the analyzer.
 	NoIgnore bool
-	// Run analyzes one target package. It may stash cross-package state
-	// in pass.Shared(), which is scoped to (analyzer, Runner.Run call).
+	// Run analyzes one target package.
 	Run func(pass *Pass) error
-	// Finish, if non-nil, runs once after every package's Run with the
-	// same shared state; module-wide verdicts are reported here.
-	Finish func(f *Finish) error
 }
 
 // Pass is one (analyzer, package) unit of work.
@@ -105,8 +94,7 @@ type Pass struct {
 	Module   *Module
 	Pkg      *Package
 
-	shared map[any]any
-	sink   func(Diagnostic)
+	sink func(Diagnostic)
 }
 
 // Fset returns the module's shared FileSet.
@@ -127,29 +115,9 @@ func (p *Pass) Files() []*ast.File {
 	return out
 }
 
-// Shared returns the analyzer's cross-package scratch map for this run.
-func (p *Pass) Shared() map[any]any { return p.shared }
-
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.sink(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
-}
-
-// Finish is the context handed to an analyzer's module-wide Finish hook.
-type Finish struct {
-	Analyzer *Analyzer
-	Module   *Module
-
-	shared map[any]any
-	sink   func(Diagnostic)
-}
-
-// Shared returns the same scratch map the analyzer's Run calls populated.
-func (f *Finish) Shared() map[any]any { return f.shared }
-
-// Reportf records a diagnostic at pos.
-func (f *Finish) Reportf(pos token.Pos, format string, args ...any) {
-	f.sink(Diagnostic{Pos: pos, Analyzer: f.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
 // Runner applies analyzers to a module.
@@ -157,9 +125,9 @@ type Runner struct {
 	Module    *Module
 	Analyzers []*Analyzer
 
-	// Times, after Run, holds each analyzer's wall time (Run over every
-	// target package plus Finish), keyed by analyzer name. ci.sh prints it
-	// so a pass that regresses tier-1's latency is visible.
+	// Times, after Run, holds each analyzer's wall time over every target
+	// package, keyed by analyzer name. ci.sh prints it so a pass that
+	// regresses tier-1's latency is visible.
 	Times map[string]time.Duration
 }
 
@@ -172,20 +140,13 @@ func (r *Runner) Run() ([]Diagnostic, error) {
 	r.Times = make(map[string]time.Duration, len(r.Analyzers))
 	for _, a := range r.Analyzers {
 		began := time.Now()
-		shared := make(map[any]any)
 		for _, pkg := range r.Module.Packages {
 			if !pkg.Target {
 				continue
 			}
-			pass := &Pass{Analyzer: a, Module: r.Module, Pkg: pkg, shared: shared, sink: sink}
+			pass := &Pass{Analyzer: a, Module: r.Module, Pkg: pkg, sink: sink}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-			}
-		}
-		if a.Finish != nil {
-			fin := &Finish{Analyzer: a, Module: r.Module, shared: shared, sink: sink}
-			if err := a.Finish(fin); err != nil {
-				return nil, fmt.Errorf("%s (finish): %w", a.Name, err)
 			}
 		}
 		r.Times[a.Name] = time.Since(began)

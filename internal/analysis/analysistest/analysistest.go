@@ -10,7 +10,7 @@
 // Multiple expectations on one line are multiple quoted regexps. A test
 // fails if a diagnostic has no matching want, or a want has no matching
 // diagnostic. Imports inside test packages resolve first against
-// testdata/src (stub packages named after the real ones: "ebr", "xsync",
+// testdata/src (stub packages named after the real ones: "ebr", "qsbr",
 // ...), then against the standard library via export data, so the fixtures
 // exercise the same type-driven matching the real module does.
 package analysistest
@@ -59,27 +59,16 @@ func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, pkgs ...string) {
 	}
 }
 
-// RunTogether loads all the named packages into one Module as joint targets
-// and applies the analyzer once. Module-wide analyzers (atomicmix) see state
-// accumulated across all of them, so this is how cross-package findings are
-// golden-tested.
-func RunTogether(t *testing.T, srcRoot string, a *analysis.Analyzer, pkgs ...string) {
+func runOne(t *testing.T, srcRoot string, a *analysis.Analyzer, target string) {
 	t.Helper()
-	t.Run(strings.Join(pkgs, "+"), func(t *testing.T) {
-		runOne(t, srcRoot, a, pkgs...)
-	})
-}
-
-func runOne(t *testing.T, srcRoot string, a *analysis.Analyzer, targets ...string) {
-	t.Helper()
-	mod, err := loadTree(srcRoot, targets)
+	mod, err := loadTree(srcRoot, target)
 	if err != nil {
-		t.Fatalf("loading %s: %v", strings.Join(targets, ", "), err)
+		t.Fatalf("loading %s: %v", target, err)
 	}
 	runner := &analysis.Runner{Module: mod, Analyzers: []*analysis.Analyzer{a}}
 	diags, err := runner.Run()
 	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, strings.Join(targets, ", "), err)
+		t.Fatalf("running %s on %s: %v", a.Name, target, err)
 	}
 
 	wants := collectWants(t, mod)
@@ -200,12 +189,12 @@ func parseWantPatterns(s string) ([]*regexp.Regexp, error) {
 	return out, nil
 }
 
-// loadTree loads the targets (and, recursively, any testdata-local imports)
-// into one Module. Only the named targets are marked Target.
-func loadTree(srcRoot string, targets []string) (*analysis.Module, error) {
+// loadTree loads the target (and, recursively, any testdata-local imports)
+// into one Module. Only the target is marked Target.
+func loadTree(srcRoot, target string) (*analysis.Module, error) {
 	fset := token.NewFileSet()
 	std := load.NewStdImporter(fset, srcRoot)
-	mod := &analysis.Module{Fset: fset, ByPath: make(map[string]*analysis.Package)}
+	mod := &analysis.Module{Fset: fset}
 	loaded := make(map[string]*types.Package)
 
 	var loadPkg func(path string, isTarget bool) (*types.Package, error)
@@ -221,13 +210,6 @@ func loadTree(srcRoot string, targets []string) (*analysis.Module, error) {
 	})
 
 	loadPkg = func(path string, isTarget bool) (*types.Package, error) {
-		if pkg, ok := loaded[path]; ok {
-			// Already loaded as a dependency; promote to target if asked.
-			if isTarget {
-				mod.ByPath[path].Target = true
-			}
-			return pkg, nil
-		}
 		dir := filepath.Join(srcRoot, filepath.FromSlash(path))
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -265,14 +247,11 @@ func loadTree(srcRoot string, targets []string) (*analysis.Module, error) {
 			Types: tpkg, Info: info, Target: isTarget,
 		}
 		mod.Packages = append(mod.Packages, pkg)
-		mod.ByPath[path] = pkg
 		return tpkg, nil
 	}
 
-	for _, target := range targets {
-		if _, err := loadPkg(target, true); err != nil {
-			return nil, err
-		}
+	if _, err := loadPkg(target, true); err != nil {
+		return nil, err
 	}
 	return mod, nil
 }

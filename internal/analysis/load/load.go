@@ -219,7 +219,7 @@ func Module(dir string, patterns ...string) (*analysis.Module, error) {
 
 	fset := token.NewFileSet()
 	std := NewStdImporter(fset, dir)
-	mod := &analysis.Module{Fset: fset, ByPath: make(map[string]*analysis.Package)}
+	mod := &analysis.Module{Fset: fset}
 	loaded := make(map[string]*types.Package)
 	imp := &chainImporter{loaded: loaded, std: std}
 
@@ -274,7 +274,6 @@ func Module(dir string, patterns ...string) (*analysis.Module, error) {
 			Target: targetSet[p.ImportPath],
 		}
 		mod.Packages = append(mod.Packages, pkg)
-		mod.ByPath[p.ImportPath] = pkg
 	}
 	return mod, nil
 }

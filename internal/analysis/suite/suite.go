@@ -5,11 +5,9 @@ package suite
 
 import (
 	"rcuarray/internal/analysis"
-	"rcuarray/internal/analysis/atomicmix"
 	"rcuarray/internal/analysis/gracesafe"
 	"rcuarray/internal/analysis/guardpair"
 	"rcuarray/internal/analysis/ignorecheck"
-	"rcuarray/internal/analysis/nocopy"
 	"rcuarray/internal/analysis/obsgate"
 	"rcuarray/internal/analysis/poolsafe"
 	"rcuarray/internal/analysis/seedpure"
@@ -21,9 +19,7 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		guardpair.Analyzer,
-		atomicmix.Analyzer,
 		seedpure.Analyzer,
-		nocopy.Analyzer,
 		ignorecheck.Analyzer,
 		gracesafe.Analyzer,
 		poolsafe.Analyzer,

@@ -1,6 +1,10 @@
 package suite_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -121,6 +125,56 @@ func TestSuiteDrift(t *testing.T) {
 		}
 		sort.Strings(registered)
 		t.Logf("registered analyzers: %s", strings.Join(registered, ", "))
+	}
+}
+
+// TestNoAtomicFunctionForms bans sync/atomic's function forms (AddInt64,
+// LoadUint64, CompareAndSwapPointer, ...) outside tests. With only typed
+// atomics (atomic.Uint64, xsync.PaddedUint64, ...) a plain access to an
+// atomic location does not compile, a copy is a go vet copylocks error, and
+// 64-bit values are aligned on 32-bit platforms.
+func TestNoAtomicFunctionForms(t *testing.T) {
+	root := moduleRoot(t)
+	forms := regexp.MustCompile(`^(Add|Load|Store|Swap|CompareAndSwap|And|Or)(Int32|Int64|Uint32|Uint64|Uintptr|Pointer)$`)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == root {
+			return err
+		}
+		if d.IsDir() {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // nested modules, fixtures, .git
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value != `"sync/atomic"` {
+				continue
+			}
+			name := "atomic"
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && forms.MatchString(sel.Sel.Name) {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+						t.Errorf("%s: atomic.%s; use a typed atomic (atomic.Int64, atomic.Pointer[T], ...)", fset.Position(sel.Pos()), sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

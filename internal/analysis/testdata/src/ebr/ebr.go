@@ -5,8 +5,6 @@
 package ebr
 
 // Domain is a stub reclamation domain.
-//
-// A Domain must not be copied after first use.
 type Domain struct {
 	epoch uint64
 }
@@ -15,14 +13,6 @@ type Domain struct {
 type Guard struct {
 	d      *Domain
 	exited bool
-}
-
-// Pinned is a stub pinned session.
-//
-// A Pinned must not be copied and is not safe for concurrent use.
-type Pinned struct {
-	d *Domain
-	g Guard
 }
 
 // New returns a stub domain.
@@ -34,9 +24,6 @@ func (d *Domain) Enter() Guard { return Guard{d: d} }
 // EnterSlot begins a stub read-side critical section on a stripe.
 func (d *Domain) EnterSlot(slot int) Guard { _ = slot; return Guard{d: d} }
 
-// Pin opens a stub pinned session.
-func (d *Domain) Pin(slot, budget int) Pinned { return Pinned{d: d, g: d.EnterSlot(slot)} }
-
 // Synchronize is a stub grace period.
 func (d *Domain) Synchronize() {}
 
@@ -45,6 +32,3 @@ func (g *Guard) Exit() { g.exited = true }
 
 // Epoch returns the stub epoch.
 func (g *Guard) Epoch() uint64 { return 0 }
-
-// Unpin ends the stub session.
-func (p *Pinned) Unpin() { p.g.Exit() }

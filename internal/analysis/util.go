@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // PkgIs reports whether pkg is the repo package with the given short name:
@@ -58,12 +57,6 @@ func IsMethodCall(info *types.Info, call *ast.CallExpr, pkgName, typeName, metho
 	}
 	recv := ReceiverOf(info, call)
 	return recv != nil && NamedType(recv, pkgName, typeName)
-}
-
-// DocContains reports whether a declaration doc comment (either the spec's
-// or the enclosing GenDecl's) contains the given phrase, case-insensitively.
-func DocContains(doc *ast.CommentGroup, phrase string) bool {
-	return doc != nil && strings.Contains(strings.ToLower(doc.Text()), strings.ToLower(phrase))
 }
 
 // FuncScopes visits every function body in f — declarations and function

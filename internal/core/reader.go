@@ -64,14 +64,14 @@ type Reader[T any] struct {
 //	rd := a.Reader(t)
 //	defer rd.Close()
 //	for i := lo; i < hi; i++ { sum += rd.Load(i) }
-func (a *Array[T]) Reader(t *locale.Task) Reader[T] {
-	r := Reader[T]{a: a, t: t, ebr: a.opts.Variant != VariantQSBR, open: true, blockIdx: -1}
+func (a *Array[T]) Reader(t *locale.Task) (r Reader[T]) {
+	r = Reader[T]{a: a, t: t, ebr: a.opts.Variant != VariantQSBR, open: true, blockIdx: -1}
 	if r.ebr {
 		inst := a.inst(t)
 		r.pin = inst.dom.Pin(t.Slot(), a.opts.PinBudget)
 	}
 	r.resolve()
-	return r
+	return
 }
 
 // resolve (re)loads the session snapshot and drops the location cache.

@@ -512,7 +512,6 @@ func closeBetweenFlips(n *ArrayNode) {
 // install's Synchronize on this node cannot complete, so an armed watchdog
 // must fire — exactly once — naming this slot.
 func (n *ArrayNode) holdReader(slot int) func() {
-	//rcuvet:ignore fault-injection hook: the leak is the fault; the caller releases via the returned closure
 	g := n.dom.EnterSlot(slot)
 	return g.Exit
 }

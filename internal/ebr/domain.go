@@ -136,7 +136,13 @@ func (d *Domain) Stripes() int { return int(d.stripeMask) + 1 }
 // Guard is the evidence of a successfully linearized read-side critical
 // section. It records the exact stripe the reader incremented, so that Exit
 // decrements the same one even if the epoch has advanced meanwhile.
+//
+// A Guard must not be copied: a copy shares the stripe counter but not the
+// exited latch, so exiting both unbalances the reader count. go vet's
+// copylocks check enforces this through the noCopy field, also for Pinned,
+// core.Reader and any struct that holds one.
 type Guard struct {
+	_      noCopy
 	d      *Domain
 	cell   *xsync.PaddedUint64
 	epoch  uint64
@@ -144,6 +150,14 @@ type Guard struct {
 	stripe uint64
 	exited bool
 }
+
+// noCopy is a zero-size sentinel: go vet's copylocks check treats any type
+// with pointer-receiver Lock and Unlock methods as a lock and reports every
+// by-value copy of a struct that contains one.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // Enter begins a read-side critical section on stripe 0. Callers that have a
 // task slot should prefer EnterSlot, which spreads concurrent readers over

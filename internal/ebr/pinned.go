@@ -37,17 +37,17 @@ type Pinned struct {
 
 // Pin opens a pinned read-side session on the stripe selected by slot.
 // budget <= 0 selects DefaultPinBudget.
-func (d *Domain) Pin(slot, budget int) Pinned {
+func (d *Domain) Pin(slot, budget int) (p Pinned) {
 	if budget <= 0 {
 		budget = DefaultPinBudget
 	}
-	p := Pinned{d: d, g: d.EnterSlot(slot), slot: slot, budget: budget}
+	p = Pinned{d: d, g: d.EnterSlot(slot), slot: slot, budget: budget}
 	if obs.On() {
 		// Re-annotate over EnterSlot's mark: a stall report should say the
 		// culprit is a pinned session, not a plain reader.
 		d.annotate(p.g.idx, p.g.stripe, slot, sitePin)
 	}
-	return p
+	return
 }
 
 // Epoch returns the epoch of the current pin window.
