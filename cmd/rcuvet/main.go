@@ -1,7 +1,8 @@
 // Command rcuvet machine-checks this repository's RCU/EBR concurrency
 // invariants: guard pairing, seed-purity of the deterministic test fabrics,
-// and — via the CFG/dataflow passes — grace-period ordering before
-// reclamation, pooled-buffer ownership, and obs gate domination. Copy
+// and — via the CFG/dataflow passes — pooled-buffer ownership and obs gate
+// domination. Grace-period ordering before reclamation is ebr.Cell's type
+// (an Unpublished value yields only after a grace). Copy
 // discipline is go vet's copylocks check (ebr.Guard carries a noCopy
 // sentinel), and atomic access is TestNoAtomicFunctionForms in
 // internal/analysis/suite, which bans sync/atomic's function forms. See
@@ -12,7 +13,7 @@
 //
 //	go run ./cmd/rcuvet ./...          # whole module (what ci.sh tier-1 runs)
 //	go run ./cmd/rcuvet ./internal/dist
-//	go run ./cmd/rcuvet -only gracesafe ./...
+//	go run ./cmd/rcuvet -only poolsafe ./...
 //	go run ./cmd/rcuvet -list          # describe the analyzers
 //	go run ./cmd/rcuvet -json ./...    # machine-readable findings
 //
@@ -21,7 +22,7 @@
 // Findings are suppressed per line with `//rcuvet:ignore <reason>`; the
 // reason is mandatory (enforced by the ignorecheck analyzer) and the
 // directive also covers the line directly below it. The protocol-safety
-// passes (gracesafe, poolsafe, obsgate) ignore the directive entirely:
+// passes (poolsafe, obsgate) ignore the directive entirely:
 // their findings are protocol bugs, not style calls.
 package main
 

@@ -23,7 +23,6 @@ package dtable
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"rcuarray"
 	"rcuarray/internal/ebr"
@@ -78,19 +77,10 @@ type buckets[V any] struct {
 	mask  uint64
 }
 
-// atomicBuckets publishes bucket snapshots (methods exist because Go's
-// atomic.Pointer cannot be aliased generically inline).
-type atomicBuckets[V any] struct {
-	p atomic.Pointer[buckets[V]]
-}
-
-func (a *atomicBuckets[V]) load() *buckets[V]   { return a.p.Load() }
-func (a *atomicBuckets[V]) store(b *buckets[V]) { a.p.Store(b) }
-
 // shard is one locale's portion of the table.
 type shard[V any] struct {
 	mu    sync.Mutex // serializes writers within the shard
-	cur   atomicBuckets[V]
+	cur   ebr.Cell[buckets[V]]
 	count int // entries; mutated under mu
 	dom   *ebr.Domain
 	opts  Options
@@ -105,7 +95,7 @@ func New[V any](t *rcuarray.Task, opts Options) *Map[V] {
 	}
 	pid := locale.Privatize(t, func(loc *locale.Locale) any {
 		s := &shard[V]{dom: ebr.New(), opts: opts}
-		s.cur.store(&buckets[V]{heads: make([]*node[V], nb), mask: uint64(nb - 1)})
+		s.cur.Swap(s.dom, &buckets[V]{heads: make([]*node[V], nb), mask: uint64(nb - 1)}) // replaces nil
 		return s
 	})
 	return &Map[V]{pid: pid, opts: opts}
@@ -136,7 +126,7 @@ func (m *Map[V]) Get(t *rcuarray.Task, key uint64) (V, bool) {
 		ok  bool
 	)
 	read := func() {
-		b := s.cur.load()
+		b := s.cur.Load()
 		b.CheckLive()
 		for n := b.heads[mix(key)&b.mask]; n != nil; n = n.next {
 			n.CheckLive()
@@ -162,7 +152,7 @@ func (m *Map[V]) Get(t *rcuarray.Task, key uint64) (V, bool) {
 func (m *Map[V]) Put(t *rcuarray.Task, key uint64, v V) bool {
 	s := m.shardFor(t, key)
 	s.mu.Lock()
-	b := s.cur.load()
+	b := s.cur.Load()
 	idx := mix(key) & b.mask
 	head := b.heads[idx]
 
@@ -174,7 +164,7 @@ func (m *Map[V]) Put(t *rcuarray.Task, key uint64, v V) bool {
 
 	nb := cloneBuckets(b)
 	nb.heads[idx] = newHead
-	s.publish(t, b, nb, retired)
+	s.publish(t, nb, retired)
 	if inserted {
 		s.count++
 		if s.count > len(nb.heads)*s.opts.MaxLoadFactor {
@@ -189,7 +179,7 @@ func (m *Map[V]) Put(t *rcuarray.Task, key uint64, v V) bool {
 func (m *Map[V]) Delete(t *rcuarray.Task, key uint64) bool {
 	s := m.shardFor(t, key)
 	s.mu.Lock()
-	b := s.cur.load()
+	b := s.cur.Load()
 	idx := mix(key) & b.mask
 	head := b.heads[idx]
 
@@ -201,7 +191,7 @@ func (m *Map[V]) Delete(t *rcuarray.Task, key uint64) bool {
 	}
 	nb := cloneBuckets(b)
 	nb.heads[idx] = newHead
-	s.publish(t, b, nb, retired)
+	s.publish(t, nb, retired)
 	s.count--
 	s.mu.Unlock()
 	return true
@@ -231,7 +221,7 @@ func (m *Map[V]) Range(t *rcuarray.Task, fn func(key uint64, v V) bool) {
 		t.On(owner, func(sub *rcuarray.Task) {
 			s := locale.GetPrivatized[*shard[V]](sub, m.pid)
 			visit := func() {
-				b := s.cur.load()
+				b := s.cur.Load()
 				for _, head := range b.heads {
 					for n := head; n != nil; n = n.next {
 						if !fn(n.key, n.value) {
@@ -307,21 +297,21 @@ func cloneBuckets[V any](b *buckets[V]) *buckets[V] {
 }
 
 // publish installs nb as the shard's bucket snapshot and retires the old
-// snapshot plus any superseded nodes through the configured flavor. Caller
-// holds s.mu.
-func (s *shard[V]) publish(t *rcuarray.Task, old, nb *buckets[V], retiredNodes []*node[V]) {
-	s.cur.store(nb)
-	free := func() {
+// snapshot plus any superseded nodes, which only the old snapshot reaches,
+// through the configured flavor. Caller holds s.mu.
+func (s *shard[V]) publish(t *rcuarray.Task, nb *buckets[V], retiredNodes []*node[V]) {
+	u := s.cur.Swap(s.dom, nb)
+	free := func(old *buckets[V]) {
 		old.Retire()
 		for _, n := range retiredNodes {
 			n.Retire()
 		}
 	}
 	if s.opts.Reclaim == rcuarray.QSBR {
-		t.QSBR().Defer(free)
+		u.Defer(t.QSBR().Defer, free)
 	} else {
 		s.dom.Synchronize()
-		free()
+		free(u.After())
 	}
 }
 
@@ -339,14 +329,14 @@ func (s *shard[V]) resize(t *rcuarray.Task, old *buckets[V]) {
 			retired = append(retired, n)
 		}
 	}
-	s.publish(t, old, nb, retired)
+	s.publish(t, nb, retired)
 }
 
 // Buckets returns the current bucket count of the shard owning key
 // (diagnostics and tests).
 func (m *Map[V]) Buckets(t *rcuarray.Task, key uint64) int {
 	s := m.shardFor(t, key)
-	return len(s.cur.load().heads)
+	return len(s.cur.Load().heads)
 }
 
 // EBRStats sums read-side verification retries and synchronize calls across

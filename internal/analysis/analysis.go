@@ -80,7 +80,7 @@ type Analyzer struct {
 	// timing asserts) violate the invariants on purpose.
 	IncludeTests bool
 	// NoIgnore exempts the analyzer from //rcuvet:ignore suppression. The
-	// protocol-safety passes (gracesafe, poolsafe, obsgate) set it: a
+	// protocol-safety passes (poolsafe, obsgate) set it: a
 	// use-after-free is never a style call, so the escape hatch must not
 	// reach them — fix the code or change the analyzer.
 	NoIgnore bool

@@ -5,7 +5,6 @@ package suite
 
 import (
 	"rcuarray/internal/analysis"
-	"rcuarray/internal/analysis/gracesafe"
 	"rcuarray/internal/analysis/guardpair"
 	"rcuarray/internal/analysis/ignorecheck"
 	"rcuarray/internal/analysis/obsgate"
@@ -15,13 +14,12 @@ import (
 
 // All returns the rcuvet analyzers in their canonical order: the syntactic
 // passes first, then the dataflow (CFG-based) protocol passes for the
-// grace-period, pooling, and obs disciplines.
+// pooling and obs disciplines.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		guardpair.Analyzer,
 		seedpure.Analyzer,
 		ignorecheck.Analyzer,
-		gracesafe.Analyzer,
 		poolsafe.Analyzer,
 		obsgate.Analyzer,
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -175,6 +176,58 @@ func TestNoAtomicFunctionForms(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetireOnlyInGracedHelpers closes the one bypass ebr.Cell leaves open:
+// a value read with Load before a Swap and retired with no grace. In core,
+// dist and dtable every .Retire() must sit in a retire helper, and a helper
+// may Load only inside the free closure it hands Unpublished.After's or
+// Defer's value to, so what it retires came out of the grace.
+func TestRetireOnlyInGracedHelpers(t *testing.T) {
+	helpers := map[string][]string{
+		"internal/core": {"retire"},
+		"internal/dist": {"replaceTableLocked"},
+		"dtable":        {"publish"},
+	}
+	root := moduleRoot(t)
+	fset := token.NewFileSet()
+	for dir, allowed := range helpers {
+		pkgs, err := parser.ParseDir(fset, filepath.Join(root, dir), func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok {
+						continue
+					}
+					helper := slices.Contains(allowed, fn.Name.Name)
+					ast.Inspect(fn, func(n ast.Node) bool {
+						if _, ok := n.(*ast.FuncLit); ok && helper {
+							return false // the free closure
+						}
+						call, ok := n.(*ast.CallExpr)
+						if !ok || len(call.Args) != 0 {
+							return true
+						}
+						sel, ok := call.Fun.(*ast.SelectorExpr)
+						switch {
+						case !ok:
+						case sel.Sel.Name == "Retire" && !helper:
+							t.Errorf("%s: Retire in %s; retire only in %v, from Unpublished.After or Defer", fset.Position(call.Pos()), fn.Name.Name, allowed)
+						case sel.Sel.Name == "Load" && helper:
+							t.Errorf("%s: Load in retire helper %s; take the value from Unpublished.After or Defer", fset.Position(call.Pos()), fn.Name.Name)
+						}
+						return true
+					})
+				}
+			}
+		}
 	}
 }
 

@@ -55,10 +55,6 @@ type Options struct {
 	// scale with the touched regions, not the whole array. Zero or negative
 	// selects region.DefaultBlocks.
 	RegionBlocks int
-	// PinBudget is the operation budget of a pinned read session (see
-	// Reader) before it repins, bounding writer wait. Defaults to
-	// ebr.DefaultPinBudget.
-	PinBudget int
 	// Hooks, if non-nil, carries test instrumentation; production arrays
 	// leave it nil (the read path then pays one predictable nil check).
 	Hooks *Hooks

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"rcuarray/internal/ebr"
 	"rcuarray/internal/locale"
 	"rcuarray/internal/memory"
@@ -20,7 +18,7 @@ type instance[T any] struct {
 	// Options.FlatEBR pins the paper's exact two-counter layout.
 	dom *ebr.Domain
 	// snap is the GlobalSnapshot pointer — now the region directory.
-	snap atomic.Pointer[snapshot[T]]
+	snap ebr.Cell[snapshot[T]]
 	// nextLocaleID is the round-robin cursor for block placement. It is
 	// only read and written while the WriteLock is held.
 	nextLocaleID int
@@ -49,7 +47,7 @@ func newInstance[T any](loc *locale.Locale, opts Options) *instance[T] {
 	}
 	first := &snapshot[T]{regionBlocks: opts.RegionBlocks}
 	inst.snapStats.NoteAlloc(false)
-	inst.snap.Store(first)
+	inst.snap.Swap(dom, first) // replaces nil: nothing to retire
 	return inst
 }
 
@@ -60,18 +58,46 @@ func (inst *instance[T]) newRegion(blocks []*memory.Block[T]) *regionTable[T] {
 	return &regionTable[T]{blocks: blocks}
 }
 
-// retireRegion poisons a reclaimed region table so any straggling reader
-// trips the use-after-free detector, and releases its metadata.
-func (inst *instance[T]) retireRegion(rt *regionTable[T]) {
-	rt.Retire()
-	rt.blocks = nil // metadata poison: stale indexing fails loudly
-	inst.regionStats.NoteFree()
+// newCell returns a fresh region cell publishing a table over a copy of
+// blocks.
+func (inst *instance[T]) newCell(blocks []*memory.Block[T]) *ebr.Cell[regionTable[T]] {
+	c := new(ebr.Cell[regionTable[T]])
+	c.Swap(inst.dom, inst.newRegion(append([]*memory.Block[T](nil), blocks...))) // replaces nil
+	return c
 }
 
-// retireSnapshot poisons a reclaimed directory so any straggling reader
-// trips the use-after-free detector, and releases its metadata.
-func (inst *instance[T]) retireSnapshot(s *snapshot[T]) {
-	s.Retire()
-	s.regions = nil // metadata poison: stale indexing fails loudly
-	inst.snapStats.NoteFree()
+// reclaim hands the value u unpublished to free once no reader can hold it:
+// under EBR through After, which panics unless publishAll's Synchronize has
+// run since the swap; under QSBR through Defer, from a callback sub's
+// locale runs after quiescence.
+func reclaim[V any](v Variant, sub *locale.Task, u ebr.Unpublished[V], free func(*V)) {
+	if v == VariantQSBR {
+		u.Defer(sub.QSBR().Defer, free)
+		return
+	}
+	free(u.After())
+}
+
+// retire reclaims what one publication unpublished: the directory dir, the
+// region tables of its cells from index orphans on (no newer directory
+// reaches those cells, so their tables left with dir), and the boundary
+// table a grow flipped, if any. Each object is poisoned, so a straggling
+// reader trips the use-after-free detector, and its metadata released.
+func (inst *instance[T]) retire(v Variant, sub *locale.Task, dir ebr.Unpublished[snapshot[T]], orphans int, flip *ebr.Unpublished[regionTable[T]]) {
+	freeRegion := func(rt *regionTable[T]) {
+		rt.Retire()
+		rt.blocks = nil // metadata poison: stale indexing fails loudly
+		inst.regionStats.NoteFree()
+	}
+	if flip != nil {
+		reclaim(v, sub, *flip, freeRegion)
+	}
+	reclaim(v, sub, dir, func(s *snapshot[T]) {
+		for _, c := range s.regions[orphans:] {
+			freeRegion(c.Load())
+		}
+		s.Retire()
+		s.regions = nil // metadata poison: stale indexing fails loudly
+		inst.snapStats.NoteFree()
+	})
 }

@@ -21,7 +21,7 @@ import (
 //   - Repin on epoch advance. Under EBR a pinned reader holds its epoch
 //     open, which would starve writers in Synchronize if unbounded. Every
 //     operation ticks the pin; the first tick after a writer advances the
-//     epoch — or after Options.PinBudget operations — exits and re-enters
+//     epoch — or after ebr.DefaultPinBudget operations — exits and re-enters
 //     the critical section and re-resolves the snapshot, releasing the
 //     waiting writer. A session that stops issuing operations must Close —
 //     an idle open session blocks writers just like a paused reader in
@@ -68,7 +68,7 @@ func (a *Array[T]) Reader(t *locale.Task) (r Reader[T]) {
 	r = Reader[T]{a: a, t: t, ebr: a.opts.Variant != VariantQSBR, open: true, blockIdx: -1}
 	if r.ebr {
 		inst := a.inst(t)
-		r.pin = inst.dom.Pin(t.Slot(), a.opts.PinBudget)
+		r.pin = inst.dom.Pin(t.Slot(), 0)
 	}
 	r.resolve()
 	return

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"rcuarray/internal/ebr"
 	"rcuarray/internal/locale"
 )
 
@@ -82,28 +83,25 @@ func TestReaderStore(t *testing.T) {
 // The pin budget forces periodic repins: ops/budget windows, counted by
 // Repins. QSBR sessions never repin.
 func TestReaderBudgetRepins(t *testing.T) {
+	const ops = 2*ebr.DefaultPinBudget + 52
 	c := newTestCluster(t, 1, 1)
 	c.Run(func(task *locale.Task) {
-		a := New[int](task, Options{
-			BlockSize: 8, Variant: VariantEBR, InitialCapacity: 64, PinBudget: 16,
-		})
+		a := New[int](task, Options{BlockSize: 8, Variant: VariantEBR, InitialCapacity: 64})
 		rd := a.Reader(task)
 		defer rd.Close()
-		for op := 0; op < 40; op++ {
+		for op := 0; op < ops; op++ {
 			rd.Load(op % 64)
 		}
-		if got := rd.Repins(); got != 2 { // repins at op 16 and 32
-			t.Errorf("Repins after 40 ops with budget 16 = %d, want 2", got)
+		if got := rd.Repins(); got != 2 { // repins at op 1024 and 2048
+			t.Errorf("Repins after %d ops with budget %d = %d, want 2", ops, ebr.DefaultPinBudget, got)
 		}
 	})
 	c2 := newTestCluster(t, 1, 1)
 	c2.Run(func(task *locale.Task) {
-		a := New[int](task, Options{
-			BlockSize: 8, Variant: VariantQSBR, InitialCapacity: 64, PinBudget: 16,
-		})
+		a := New[int](task, Options{BlockSize: 8, Variant: VariantQSBR, InitialCapacity: 64})
 		rd := a.Reader(task)
 		defer rd.Close()
-		for op := 0; op < 40; op++ {
+		for op := 0; op < ops; op++ {
 			rd.Load(op % 64)
 		}
 		if got := rd.Repins(); got != 0 {

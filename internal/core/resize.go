@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"rcuarray/internal/ebr"
 	"rcuarray/internal/locale"
 	"rcuarray/internal/memory"
 	"rcuarray/internal/region"
@@ -15,28 +16,22 @@ import (
 //
 //   - EBR: each locale synchronizes its own domain inside the coforall and
 //     retires immediately after (the paper's per-locale RCU_Write tail).
-//   - QSBR: no synchronize; each locale defers its retirement to the
+//   - QSBR: no synchronize; the retirement defers each free to the
 //     runtime's quiescence detection.
 //
-// On return (for EBR) no reader can still observe anything apply
+// The retirement takes every value through reclaim, so the order is carried
+// by ebr.Unpublished: under EBR a retirement run before the Synchronize
+// panics. On return (for EBR) no reader can still observe anything apply
 // unpublished, so grows may proceed to the next region and shrinks may free
 // blocks.
 func (a *Array[T]) publishAll(t *locale.Task, apply func(sub *locale.Task, inst *instance[T]) func()) {
-	if a.opts.Variant == VariantQSBR {
-		t.Coforall(func(sub *locale.Task) {
-			if retire := apply(sub, a.inst(sub)); retire != nil {
-				sub.QSBR().Defer(retire)
-			}
-		})
-		return
-	}
 	t.Coforall(func(sub *locale.Task) {
 		inst := a.inst(sub)
 		retire := apply(sub, inst)
-		inst.dom.Synchronize()
-		if retire != nil {
-			retire()
+		if a.opts.Variant != VariantQSBR {
+			inst.dom.Synchronize()
 		}
+		retire()
 	})
 }
 
@@ -112,20 +107,20 @@ func (a *Array[T]) Grow(t *locale.Task, additional int) {
 	// can park between.
 	steps := region.Plan(oldN, newN, rb)
 	fill := 0
-	var oldBoundary []*regionTable[T]
+	var oldBoundary []ebr.Unpublished[regionTable[T]]
 	if first := steps[0]; first.Lo%rb != 0 {
 		boundary := first.Lo / rb
 		fill = first.Hi - first.Lo
 		steps = steps[1:]
-		oldBoundary = make([]*regionTable[T], a.cluster.NumLocales())
+		oldBoundary = make([]ebr.Unpublished[regionTable[T]], a.cluster.NumLocales())
 		rs.begin(a.o.nRegionFlip)
 		t.Coforall(func(sub *locale.Task) {
 			inst := a.inst(sub)
-			old := inst.snap.Load().regions[boundary].load()
+			cell := inst.snap.Load().regions[boundary]
+			old := cell.Load()
 			ext := make([]*memory.Block[T], 0, len(old.blocks)+fill)
 			ext = append(append(ext, old.blocks...), newBlocks[:fill]...)
-			inst.snap.Load().regions[boundary].p.Store(inst.newRegion(ext))
-			oldBoundary[sub.Here().ID()] = old
+			oldBoundary[sub.Here().ID()] = cell.Swap(inst.dom, inst.newRegion(ext))
 		})
 		rs.end(a.o.nRegionFlip, a.o.regionFlipNs)
 		if rs.on {
@@ -145,26 +140,22 @@ func (a *Array[T]) Grow(t *locale.Task, additional int) {
 		ls := rs.localeSpan(a.o, sub, a.o.nInstall)
 		old := inst.snap.Load()
 		nd := &snapshot[T]{nBlocks: newN, regionBlocks: rb}
-		nd.regions = append(make([]*regionCell[T], 0, region.Count(newN, rb)), old.regions...)
+		nd.regions = append(make([]*ebr.Cell[regionTable[T]], 0, region.Count(newN, rb)), old.regions...)
 		for _, s := range steps {
-			cell := &regionCell[T]{}
-			cell.p.Store(inst.newRegion(append([]*memory.Block[T](nil), newBlocks[s.Lo-oldN:s.Hi-oldN]...)))
-			nd.regions = append(nd.regions, cell)
+			nd.regions = append(nd.regions, inst.newCell(newBlocks[s.Lo-oldN:s.Hi-oldN]))
 		}
 		inst.snapStats.NoteAlloc(false)
-		inst.snap.Store(nd)
+		u := inst.snap.Swap(inst.dom, nd)
 		inst.nextLocaleID = locID
-		flipped := oldBoundary // nil when step 3 did not run
-		here := sub.Here().ID()
+		var flip *ebr.Unpublished[regionTable[T]]
+		if oldBoundary != nil { // step 3 ran
+			flip = &oldBoundary[sub.Here().ID()]
+		}
 		if ls != nil {
 			ls.End(a.o.nInstall)
 		}
-		return func() {
-			inst.retireSnapshot(old)
-			if flipped != nil {
-				inst.retireRegion(flipped[here])
-			}
-		}
+		// Every cell of the old directory lives on in the new one.
+		return func() { inst.retire(a.opts.Variant, sub, u, len(old.regions), flip) }
 	})
 	rs.end(a.o.nInstall, a.o.installNs)
 	a.regionEvent(RegionEvent{Op: "grow", Kind: "dir", Region: region.Count(newN, rb), NBlocks: newN})
@@ -228,8 +219,8 @@ func (a *Array[T]) Shrink(t *locale.Task, removed int) {
 		ls := rs.localeSpan(a.o, sub, a.o.nInstall)
 		old := inst.snap.Load()
 		nd := &snapshot[T]{nBlocks: keep, regionBlocks: rb}
-		nd.regions = append([]*regionCell[T](nil), old.regions[:keepRegions]...)
-		var retired []*regionTable[T]
+		nd.regions = append([]*ebr.Cell[regionTable[T]](nil), old.regions[:keepRegions]...)
+		orphaned := keepRegions
 		if keep%rb != 0 {
 			// Fresh cell + truncated table for the boundary region:
 			// readers on the old directory keep addressing the old table
@@ -237,26 +228,16 @@ func (a *Array[T]) Shrink(t *locale.Task, removed int) {
 			// the flat-layout semantics); readers on the new directory
 			// never reach past keep anyway.
 			b := keepRegions - 1
-			oldRT := old.regions[b].load()
-			cell := &regionCell[T]{}
-			cell.p.Store(inst.newRegion(append([]*memory.Block[T](nil), oldRT.blocks[:keep-b*rb]...)))
-			nd.regions[b] = cell
-			retired = append(retired, oldRT)
-		}
-		for _, c := range old.regions[keepRegions:] {
-			retired = append(retired, c.load())
+			nd.regions[b] = inst.newCell(old.regions[b].Load().blocks[:keep-b*rb])
+			orphaned = b
 		}
 		inst.snapStats.NoteAlloc(false)
-		inst.snap.Store(nd)
+		u := inst.snap.Swap(inst.dom, nd)
 		if ls != nil {
 			ls.End(a.o.nInstall)
 		}
-		return func() { // batched: one grace period retires everything
-			inst.retireSnapshot(old)
-			for _, rt := range retired {
-				inst.retireRegion(rt)
-			}
-		}
+		// Batched: one grace period retires everything.
+		return func() { inst.retire(a.opts.Variant, sub, u, orphaned, nil) }
 	})
 	rs.end(a.o.nInstall, a.o.installNs)
 	a.regionEvent(RegionEvent{Op: "shrink", Kind: "dir", Region: keepRegions, NBlocks: keep})
@@ -307,22 +288,9 @@ func (a *Array[T]) Destroy(t *locale.Task) {
 
 	victims := a.inst(t).snap.Load().blockList()
 	a.publishAll(t, func(sub *locale.Task, inst *instance[T]) func() {
-		old := inst.snap.Load()
-		// Capture the tables now: retiring the directory poisons its
-		// region slice.
-		tables := make([]*regionTable[T], len(old.regions))
-		for i, c := range old.regions {
-			tables[i] = c.load()
-		}
-		nd := &snapshot[T]{regionBlocks: a.opts.RegionBlocks}
 		inst.snapStats.NoteAlloc(false)
-		inst.snap.Store(nd)
-		return func() {
-			inst.retireSnapshot(old)
-			for _, rt := range tables {
-				inst.retireRegion(rt)
-			}
-		}
+		u := inst.snap.Swap(inst.dom, &snapshot[T]{regionBlocks: a.opts.RegionBlocks})
+		return func() { inst.retire(a.opts.Variant, sub, u, 0, nil) }
 	})
 	a.regionEvent(RegionEvent{Op: "destroy", Kind: "retire-batch", Region: 0, NBlocks: 0})
 	a.freeBlocksByOwner(t, victims)

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"sync/atomic"
-
+	"rcuarray/internal/ebr"
 	"rcuarray/internal/memory"
 )
 
@@ -36,25 +35,18 @@ type regionTable[T any] struct {
 	blocks []*memory.Block[T]
 }
 
-// regionCell is the publication point for one region. Cells are allocated
-// when a region first comes into existence and shared by every subsequent
-// directory version that still addresses the region, which is what makes a
-// region flip invisible to the directory level.
-type regionCell[T any] struct {
-	p atomic.Pointer[regionTable[T]]
-}
-
-func (c *regionCell[T]) load() *regionTable[T] { return c.p.Load() }
-
 // snapshot is the directory: the immutable top level of the two-level
 // metadata. It plays the role of the paper's RCUArraySnapshot for the
 // reader protocol (loaded once inside the read-side critical section), but
 // resolves indices through the region cells.
 type snapshot[T any] struct {
 	memory.Object
-	// regions holds one shared cell per region; len(regions) covers
-	// nBlocks (the last region may be partial).
-	regions []*regionCell[T]
+	// regions holds one publication cell per region; len(regions) covers
+	// nBlocks (the last region may be partial). A cell is allocated when its
+	// region first comes into existence and shared by every later directory
+	// that still addresses the region, which is what makes a region flip
+	// invisible to the directory level.
+	regions []*ebr.Cell[regionTable[T]]
 	// nBlocks is the addressable block count. It is what bounds reader
 	// indexing: blocks beyond it — e.g. freshly flipped into a boundary
 	// region by an in-flight Grow — stay unreachable until a wider
@@ -76,7 +68,7 @@ func (s *snapshot[T]) capacity(blockSize int) int {
 // grace-period discipline must prevent — fail loudly rather than return a
 // dangling block.
 func (s *snapshot[T]) blockAt(bi int) *memory.Block[T] {
-	rt := s.regions[bi/s.regionBlocks].load()
+	rt := s.regions[bi/s.regionBlocks].Load()
 	rt.CheckLive()
 	return rt.blocks[bi%s.regionBlocks]
 }

@@ -765,14 +765,14 @@ func (n *ArrayNode) recoverFromDisk() error {
 	}
 
 	// Install the recovered state. No reader exists yet (DeferServe), so the
-	// table store needs no grace period.
+	// table swap needs no grace period; the replaced table is left unretired.
 	n.mu.Lock()
 	n.id = conf.NodeID
 	n.blockSize = int(conf.BlockSize)
 	n.identity = conf.Identity
 	n.restartGen = conf.RestartGen
 	n.rs = st.resizeState
-	n.snap.Store(&tableSnapshot{table: st.table})
+	n.snap.Swap(&n.dom, &tableSnapshot{table: st.table})
 	n.snapSeq = loadedSnap
 	n.mu.Unlock()
 
@@ -922,7 +922,7 @@ func (n *ArrayNode) adoptRecoverStateLocked(rs recoverState) bool {
 	if n.rs.regionMilestone > 0 {
 		n.rs.regionMilestone = 0
 	}
-	n.snap.Store(&tableSnapshot{table: rs.Table})
+	n.snap.Swap(&n.dom, &tableSnapshot{table: rs.Table})
 	return true
 }
 

@@ -40,7 +40,7 @@ type ArrayNode struct {
 	configured atomic.Bool
 
 	dom  ebr.Domain
-	snap atomic.Pointer[tableSnapshot]
+	snap ebr.Cell[tableSnapshot]
 
 	// Cluster WriteLock lease, meaningful on node 0 only. The lock is a
 	// lease with fencing tokens: Acquire grants a fresh monotonically
@@ -170,7 +170,7 @@ func NewArrayNodeOpts(addr string, opts NodeOptions) (*ArrayNode, error) {
 	}
 	n.dom.Observe(reg)
 	n.trace.init(reg.Tracer())
-	n.snap.Store(&tableSnapshot{})
+	n.snap.Swap(&n.dom, &tableSnapshot{}) // replaces nil
 	if n.dataDir != "" {
 		if err := os.MkdirAll(n.dataDir, 0o755); err != nil {
 			srv.Close()
@@ -607,9 +607,8 @@ func (n *ArrayNode) handleAbort(payload []byte) ([]byte, error) {
 		n.pruneAllocsLocked(q.Fence, q.Table)
 		return nil, nil
 	}
-	abortedTable := n.snap.Load().table
 	n.trace.begin(n.trace.nAbort)
-	n.replaceTableLocked(proof, q.Table)
+	abortedTable := n.replaceTableLocked(proof, q.Table)
 	// Free the local blocks the aborted install had added — present in the
 	// table being rolled back but not in the rollback table. This runs after
 	// the rollback's Synchronize, so no local reader is still inside a
@@ -634,15 +633,18 @@ func (n *ArrayNode) handleAbort(payload []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// replaceTableLocked publishes a new table under EBR and reclaims the old
-// snapshot after this node's readers drain. Callers hold n.mu and pass the
-// proof that the milestone is already in the WAL.
-func (n *ArrayNode) replaceTableLocked(_ logged, table []BlockRef) {
-	old := n.snap.Load()
-	n.snap.Store(&tableSnapshot{table: table})
+// replaceTableLocked publishes a new table under EBR, reclaims the old
+// snapshot after this node's readers drain, and returns the old table.
+// Callers hold n.mu and pass the proof that the milestone is already in the
+// WAL.
+func (n *ArrayNode) replaceTableLocked(_ logged, table []BlockRef) []BlockRef {
+	u := n.snap.Swap(&n.dom, &tableSnapshot{table: table})
 	n.dom.Synchronize()
+	old := u.After()
+	replaced := old.table
 	old.Retire()
 	old.table = nil // metadata poison
+	return replaced
 }
 
 func (n *ArrayNode) handleLen(payload []byte) ([]byte, error) {

@@ -21,6 +21,6 @@
 // across integer overflow of the epoch (Lemma 2) — see overflow_test.go.
 //
 // The domain is decoupled from RCUArray exactly as the paper's future work
-// proposes, so it can protect arbitrary data: pair it with an atomic pointer
-// (see package rcu) or use Synchronize directly after unlinking.
+// proposes, so it can protect arbitrary data: publish it through a Cell,
+// whose Swap yields the old value only after a grace period (see cell.go).
 package ebr

@@ -59,6 +59,10 @@ type Domain struct {
 	// writerActive's line rather than a line readers write; the release
 	// that takes a stripe to zero loads it and sends without blocking.
 	waiter atomic.Pointer[chan struct{}]
+	// graced is the epoch the last finished Synchronize advanced to, the
+	// mark Unpublished.After checks its swap's epoch against. Only the
+	// writer stores it, once per Synchronize.
+	graced atomic.Uint64
 	// retries counts read-side verification failures (the loop at
 	// Algorithm 1 lines 9–17). Exposed for the ablation benchmarks.
 	retries xsync.PaddedUint64
@@ -127,6 +131,7 @@ func NewStriped(n int) *Domain {
 func NewAtEpoch(e uint64) *Domain {
 	d := NewStriped(DefaultStripes)
 	d.globalEpoch.Store(e)
+	d.graced.Store(e)
 	return d
 }
 
@@ -257,7 +262,8 @@ func (d *Domain) ReadSlot(slot int, fn func()) {
 // itself against the *previous* epoch's parity has exited (Algorithm 1,
 // RCU_Write lines 5–7). On return, no read-side critical section that began
 // before the call can still observe data unlinked before the call, so the
-// caller may reclaim it (line 8).
+// caller may reclaim it (line 8): Unpublished.After yields every value a
+// Cell.Swap unpublished before the call.
 //
 // With striping, "the previous parity's counter is zero" becomes "one full
 // pass over the previous parity's stripes sums to zero". That pass is safe:
@@ -321,6 +327,7 @@ func (d *Domain) Synchronize() {
 		}
 		d.waiter.Store(nil)
 	}
+	d.graced.Store(prev + 1)
 	if o != nil {
 		d.syncStart.Store(0)
 		o.grace.Observe(time.Since(t0).Nanoseconds())

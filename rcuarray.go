@@ -115,12 +115,6 @@ type Options struct {
 	Reclaim Reclaim
 	// InitialCapacity, if positive, grows the array at construction.
 	InitialCapacity int
-	// PinBudget bounds how many operations a Reader session serves per
-	// read-side pin before it voluntarily re-enters the critical section. A
-	// resize does not wait for it: a session re-enters on its first
-	// operation after the resize advances the epoch. Zero selects the
-	// default (1024).
-	PinBudget int
 }
 
 // Array is a parallel-safe distributed resizable array of T. All operations
@@ -147,7 +141,6 @@ func New[T any](t *Task, opts Options) *Array[T] {
 		BlockSize:       opts.BlockSize,
 		Variant:         v,
 		InitialCapacity: opts.InitialCapacity,
-		PinBudget:       opts.PinBudget,
 	})}
 }
 
@@ -213,10 +206,10 @@ func (a *Array[T]) Destroy(t *Task) { a.inner.Destroy(t) }
 //	for i := 0; i < rd.Len(); i++ { sum += rd.Load(i) }
 //
 // Under EBR the session transparently re-pins on its first operation after a
-// concurrent resize advances the epoch, and at least every PinBudget
-// operations; an idle open session delays concurrent resizes, so sessions
-// should be closed promptly. Under QSBR the
-// session must not span a Checkpoint (like a Ref). A Reader is per-task:
+// concurrent resize advances the epoch, and at least every 1024 operations;
+// an idle open session delays concurrent resizes, so sessions should be
+// closed promptly. Under QSBR the session must not span a Checkpoint (like a
+// Ref). A Reader is per-task:
 // not safe for concurrent use.
 func (a *Array[T]) Reader(t *Task) Reader[T] {
 	return Reader[T]{inner: a.inner.Reader(t)}

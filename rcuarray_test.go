@@ -166,7 +166,6 @@ func TestPublicReaderSession(t *testing.T) {
 		a := rcuarray.New[int64](task, rcuarray.Options{
 			BlockSize:       8,
 			InitialCapacity: 64,
-			PinBudget:       16,
 		})
 		rd := a.Reader(task)
 		for i := 0; i < 64; i++ {
