@@ -10,8 +10,10 @@
 #                                race detector; go vet's copylocks carries
 #                                the ebr.Guard copy discipline through its
 #                                noCopy sentinel; rcuvet is the in-repo static
-#                                analysis suite — see DESIGN.md "Static
-#                                analysis". rcuvet runs with -time so the
+#                                analysis suite of three syntactic passes,
+#                                guardpair, seedpure and ignorecheck — see
+#                                DESIGN.md "Static analysis". rcuvet runs
+#                                with -time so the
 #                                per-analyzer wall cost stays visible, and a
 #                                failure names the offending analyzer(s))
 #   ./ci.sh race       tier-1.5 (adds go test -race over the -short subset:
@@ -82,7 +84,7 @@ tier1() {
 	go build ./...
 	echo '--- tier-1: go vet ./... (copylocks carries the ebr.Guard copy discipline)'
 	go vet ./...
-	echo '--- tier-1: rcuvet -time ./... (RCU/EBR invariant + dataflow-protocol analyzers)'
+	echo '--- tier-1: rcuvet -time ./... (three syntactic passes: guardpair, seedpure, ignorecheck)'
 	if ! go build -o "$TMP/rcuvet.ci" ./cmd/rcuvet; then
 		echo 'ci: cmd/rcuvet failed to build; the static-analysis gate cannot run.' >&2
 		echo 'ci: fix the build (go build ./cmd/rcuvet) before merging.' >&2

@@ -1,10 +1,14 @@
 // Command rcuvet machine-checks this repository's RCU/EBR concurrency
-// invariants: guard pairing, seed-purity of the deterministic test fabrics,
-// and — via the CFG/dataflow passes — pooled-buffer ownership and obs gate
-// domination. Grace-period ordering before reclamation is ebr.Cell's type
-// (an Unpublished value yields only after a grace). Copy
+// invariants with three syntactic passes: guardpair (guard pairing),
+// seedpure (seed-purity of the deterministic test fabrics) and ignorecheck
+// (every //rcuvet:ignore states a reason). The other invariants are types or
+// short tests: grace-period ordering before reclamation is ebr.Cell's type
+// (an Unpublished value yields only after a grace); the obs gate lives in
+// obs's types (self-gating rings, obs.Stamp) with TestNoClockInRecorders
+// banning a clock read inside Observe/Complete; pooled-frame ownership is
+// comm's generation-checked frameRef, which panics on misuse; copy
 // discipline is go vet's copylocks check (ebr.Guard carries a noCopy
-// sentinel), and atomic access is TestNoAtomicFunctionForms in
+// sentinel); and atomic access is TestNoAtomicFunctionForms in
 // internal/analysis/suite, which bans sync/atomic's function forms. See
 // DESIGN.md's "Static analysis" section for the invariants each analyzer
 // encodes.
@@ -13,7 +17,7 @@
 //
 //	go run ./cmd/rcuvet ./...          # whole module (what ci.sh tier-1 runs)
 //	go run ./cmd/rcuvet ./internal/dist
-//	go run ./cmd/rcuvet -only poolsafe ./...
+//	go run ./cmd/rcuvet -only guardpair ./...
 //	go run ./cmd/rcuvet -list          # describe the analyzers
 //	go run ./cmd/rcuvet -json ./...    # machine-readable findings
 //
@@ -21,9 +25,7 @@
 //
 // Findings are suppressed per line with `//rcuvet:ignore <reason>`; the
 // reason is mandatory (enforced by the ignorecheck analyzer) and the
-// directive also covers the line directly below it. The protocol-safety
-// passes (poolsafe, obsgate) ignore the directive entirely:
-// their findings are protocol bugs, not style calls.
+// directive also covers the line directly below it.
 package main
 
 import (

@@ -10,8 +10,10 @@
 //   - Runner: applies a set of analyzers to a loaded Module and filters the
 //     diagnostics through //rcuvet:ignore directives.
 //
-// Every pass checks one package at a time, so there is no counterpart of
-// x/tools' Facts machinery or of a module-wide hook.
+// The passes — guardpair, seedpure and ignorecheck, registered in package
+// suite — are syntactic. Every pass checks one package at a time, so there
+// is no counterpart of x/tools' Facts machinery, of a module-wide hook, or
+// of a control-flow graph.
 package analysis
 
 import (
@@ -79,11 +81,6 @@ type Analyzer struct {
 	// skip them: the misuse-driven test suites (double-Exit tests, chaos
 	// timing asserts) violate the invariants on purpose.
 	IncludeTests bool
-	// NoIgnore exempts the analyzer from //rcuvet:ignore suppression. The
-	// protocol-safety passes (poolsafe, obsgate) set it: a
-	// use-after-free is never a style call, so the escape hatch must not
-	// reach them — fix the code or change the analyzer.
-	NoIgnore bool
 	// Run analyzes one target package.
 	Run func(pass *Pass) error
 }
@@ -151,7 +148,7 @@ func (r *Runner) Run() ([]Diagnostic, error) {
 		}
 		r.Times[a.Name] = time.Since(began)
 	}
-	diags = filterIgnored(r.Module, r.Analyzers, diags)
+	diags = filterIgnored(r.Module, diags)
 	sort.SliceStable(diags, func(i, j int) bool {
 		pi, pj := r.Module.Fset.Position(diags[i].Pos), r.Module.Fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {

@@ -64,20 +64,13 @@ func ignoredLines(m *Module) map[string]map[int]bool {
 }
 
 // filterIgnored drops diagnostics suppressed by ignore directives. The
-// ignorecheck analyzer's own findings are exempt — an ignore comment must
-// not be able to hide the report that it is malformed — and so is any
-// analyzer that declares NoIgnore.
-func filterIgnored(m *Module, analyzers []*Analyzer, diags []Diagnostic) []Diagnostic {
+// ignorecheck analyzer's own findings are exempt: an ignore comment must
+// not be able to hide the report that it is malformed.
+func filterIgnored(m *Module, diags []Diagnostic) []Diagnostic {
 	ignored := ignoredLines(m)
-	noIgnore := map[string]bool{"ignorecheck": true}
-	for _, a := range analyzers {
-		if a.NoIgnore {
-			noIgnore[a.Name] = true
-		}
-	}
 	out := diags[:0]
 	for _, d := range diags {
-		if !noIgnore[d.Analyzer] {
+		if d.Analyzer != "ignorecheck" {
 			pos := m.Fset.Position(d.Pos)
 			if lines := ignored[pos.Filename]; lines != nil && lines[pos.Line] {
 				continue

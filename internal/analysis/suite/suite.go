@@ -7,20 +7,15 @@ import (
 	"rcuarray/internal/analysis"
 	"rcuarray/internal/analysis/guardpair"
 	"rcuarray/internal/analysis/ignorecheck"
-	"rcuarray/internal/analysis/obsgate"
-	"rcuarray/internal/analysis/poolsafe"
 	"rcuarray/internal/analysis/seedpure"
 )
 
-// All returns the rcuvet analyzers in their canonical order: the syntactic
-// passes first, then the dataflow (CFG-based) protocol passes for the
-// pooling and obs disciplines.
+// All returns the rcuvet analyzers in their canonical order. All three are
+// syntactic passes.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		guardpair.Analyzer,
 		seedpure.Analyzer,
 		ignorecheck.Analyzer,
-		poolsafe.Analyzer,
-		obsgate.Analyzer,
 	}
 }

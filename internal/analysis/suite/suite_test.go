@@ -17,19 +17,16 @@ import (
 )
 
 func TestAllWellFormed(t *testing.T) {
-	all := suite.All()
-	if len(all) < 5 {
-		t.Fatalf("suite.All() returned %d analyzers; the tentpole promises at least five", len(all))
-	}
-	seen := make(map[string]bool)
-	for _, a := range all {
+	want := []string{"guardpair", "seedpure", "ignorecheck"}
+	var got []string
+	for _, a := range suite.All() {
 		if a.Name == "" || a.Doc == "" || a.Run == nil {
 			t.Errorf("analyzer %+v missing name, doc, or run", a)
 		}
-		if seen[a.Name] {
-			t.Errorf("duplicate analyzer name %q", a.Name)
-		}
-		seen[a.Name] = true
+		got = append(got, a.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("suite.All() registers %v, want exactly %v", got, want)
 	}
 }
 
@@ -41,12 +38,8 @@ func TestAllWellFormed(t *testing.T) {
 func TestSuiteDrift(t *testing.T) {
 	root := moduleRoot(t)
 	names := make(map[string]bool)
-	noIgnore := make(map[string]bool)
 	for _, a := range suite.All() {
 		names[a.Name] = true
-		if a.NoIgnore {
-			noIgnore[a.Name] = true
-		}
 	}
 
 	// Every registered analyzer has at least one <name>_* fixture package,
@@ -76,24 +69,6 @@ func TestSuiteDrift(t *testing.T) {
 	for prefix, dirs := range fixtures {
 		if !names[prefix] {
 			t.Errorf("fixture package(s) %v have analyzer prefix %q, which suite.All() does not register", dirs, prefix)
-		}
-	}
-
-	// Every NoIgnore (dataflow-protocol) pass pins its exemption from the
-	// //rcuvet:ignore escape hatch with a <name>_noignore fixture, and
-	// every *_noignore fixture belongs to a NoIgnore pass — without the
-	// fixture, dropping the flag would go unnoticed.
-	for name := range noIgnore {
-		want := name + "_noignore"
-		if _, err := os.Stat(filepath.Join(src, want)); err != nil {
-			t.Errorf("analyzer %q sets NoIgnore but has no testdata/src/%s fixture pinning that exemption", name, want)
-		}
-	}
-	for prefix, dirs := range fixtures {
-		for _, dir := range dirs {
-			if strings.HasSuffix(dir, "_noignore") && !noIgnore[prefix] {
-				t.Errorf("fixture %q exists but analyzer %q does not set NoIgnore", dir, prefix)
-			}
 		}
 	}
 
@@ -135,8 +110,75 @@ func TestSuiteDrift(t *testing.T) {
 // atomic location does not compile, a copy is a go vet copylocks error, and
 // 64-bit values are aligned on 32-bit platforms.
 func TestNoAtomicFunctionForms(t *testing.T) {
-	root := moduleRoot(t)
 	forms := regexp.MustCompile(`^(Add|Load|Store|Swap|CompareAndSwap|And|Or)(Int32|Int64|Uint32|Uint64|Uintptr|Pointer)$`)
+	walkSources(t, func(fset *token.FileSet, _ string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if imp.Path.Value != `"sync/atomic"` {
+				continue
+			}
+			name := "atomic"
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && forms.MatchString(sel.Sel.Name) {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+						t.Errorf("%s: atomic.%s; use a typed atomic (atomic.Int64, atomic.Pointer[T], ...)", fset.Position(sel.Pos()), sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	})
+}
+
+// TestNoClockInRecorders bans a clock read (time.Now, time.Since,
+// Tracer.Now, Stamp.Elapsed) inside the arguments of .Observe( or
+// .Complete( outside internal/obs. A latency is taken only as an obs.Stamp
+// from obs.Start — zero, with no clock read, while observability is off —
+// and recorded through Histogram.Since or Ring.Complete, so a disabled run
+// never pays for a timestamp. Observe keeps plain counts (frames and bytes
+// per flush).
+func TestNoClockInRecorders(t *testing.T) {
+	obsDir := filepath.Join("internal", "obs") + string(filepath.Separator)
+	walkSources(t, func(fset *token.FileSet, rel string, f *ast.File) {
+		if strings.HasPrefix(rel, obsDir) {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			rec := selectorCall(n)
+			if rec != "Observe" && rec != "Complete" {
+				return true
+			}
+			for _, arg := range n.(*ast.CallExpr).Args {
+				ast.Inspect(arg, func(m ast.Node) bool {
+					if clock := selectorCall(m); clock == "Now" || clock == "Since" || clock == "Elapsed" {
+						t.Errorf("%s: %s read inside %s's arguments; time it with obs.Start and Histogram.Since or Ring.Complete", fset.Position(m.Pos()), clock, rec)
+					}
+					return true
+				})
+			}
+			return true
+		})
+	})
+}
+
+// selectorCall returns Name when n is a call x.Name(...), else "".
+func selectorCall(n ast.Node) string {
+	if call, ok := n.(*ast.CallExpr); ok {
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			return sel.Sel.Name
+		}
+	}
+	return ""
+}
+
+// walkSources parses every non-test .go file of the module, skipping nested
+// modules, testdata and dot-directories, and hands each to visit with its
+// path relative to the module root.
+func walkSources(t *testing.T, visit func(fset *token.FileSet, rel string, f *ast.File)) {
+	t.Helper()
+	root := moduleRoot(t)
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || path == root {
@@ -155,23 +197,11 @@ func TestNoAtomicFunctionForms(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, imp := range f.Imports {
-			if imp.Path.Value != `"sync/atomic"` {
-				continue
-			}
-			name := "atomic"
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok && forms.MatchString(sel.Sel.Name) {
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
-						t.Errorf("%s: atomic.%s; use a typed atomic (atomic.Int64, atomic.Pointer[T], ...)", fset.Position(sel.Pos()), sel.Sel.Name)
-					}
-				}
-				return true
-			})
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
 		}
+		visit(fset, rel, f)
 		return nil
 	})
 	if err != nil {

@@ -4,54 +4,3 @@ package obs
 
 // On reports whether observability is enabled.
 func On() bool { return false }
-
-// Counter is a stub metric handle.
-type Counter struct{}
-
-// Inc is a stub.
-func (c *Counter) Inc() {}
-
-// Add is a stub.
-func (c *Counter) Add(n int64) {}
-
-// Gauge is a stub point-in-time metric.
-type Gauge struct{}
-
-// Set is a stub.
-func (g *Gauge) Set(v int64) {}
-
-// Histogram is a stub latency histogram.
-type Histogram struct{}
-
-// Observe is a stub; the real one records a sample.
-func (h *Histogram) Observe(v int64) {}
-
-// NameID is a stub interned span name.
-type NameID uint32
-
-// Name interns a stub span name.
-func Name(s string) NameID { return 0 }
-
-// Ring is a stub per-goroutine trace ring; a nil Ring no-ops.
-type Ring struct{}
-
-// Begin is a stub span start.
-func (r *Ring) Begin(n NameID) {}
-
-// End is a stub span end.
-func (r *Ring) End(n NameID) {}
-
-// Instant is a stub point event.
-func (r *Ring) Instant(n NameID, arg int64) {}
-
-// Tracer hands out stub rings.
-type Tracer struct{}
-
-// Ring returns a stub ring.
-func (t *Tracer) Ring(sub int) *Ring { return nil }
-
-// Complete is a stub X-phase duration event carrying an explicit span id.
-func (r *Ring) Complete(n NameID, start, dur int64, id uint64) {}
-
-// Now is a stub monotonic trace-clock read.
-func (t *Tracer) Now() int64 { return 0 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,11 +66,9 @@ func FuzzPipelinedTornStream(f *testing.F) {
 					if _, err = io.ReadFull(r, lenBuf[:]); err != nil {
 						t.Fatalf("prefix: %v", err)
 					}
-					var body *[]byte
+					var body frameRef
 					typ, gotSeq, gotPayload, body, err = readFrameBodyPooled(r, lenBuf)
-					if body != nil {
-						defer putBuf(body)
-					}
+					defer body.release()
 				} else {
 					typ, gotSeq, gotPayload, err = readFrame(r)
 				}
@@ -120,11 +119,68 @@ func (c *countingConn) writeBatch(bufs net.Buffers) (int64, error) {
 }
 
 // okEntry is a minimal queue entry: one pooled msgOK frame, plus an optional
-// release hook.
-func okEntry(seq uint64, release func()) wqEntry {
-	buf := getBuf()
-	*buf = appendRequestFrame((*buf)[:0], msgOK, seq, frameSpec{})
-	return wqEntry{buf: buf, release: release}
+// request body released with it.
+func okEntry(seq uint64, body frameRef) wqEntry {
+	buf := getFrame()
+	buf.set(appendRequestFrame(buf.bytes()[:0], msgOK, seq, frameSpec{}))
+	return wqEntry{buf: buf.handoff(), body: body}
+}
+
+// bodies hands out pooled request bodies for okEntry and counts how many of
+// them have been released since.
+type bodies []frameRef
+
+func (b *bodies) next() frameRef {
+	f := getFrame().handoff()
+	*b = append(*b, f)
+	return f
+}
+
+func (b bodies) released() int {
+	n := 0
+	for _, f := range b {
+		if f.fb.gen != f.gen {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFramePoolOwnership pins the frameRef contract: each misuse of a pooled
+// frame panics on the spot, and the panic names the misuse.
+func TestFramePoolOwnership(t *testing.T) {
+	cases := []struct {
+		name, want string
+		misuse     func()
+	}{
+		{"double-release", "released twice", func() {
+			f := getFrame()
+			f.release()
+			f.release()
+		}},
+		{"release-after-handoff", "released after hand-off", func() {
+			f := getFrame()
+			e := wqEntry{buf: f.handoff()}
+			defer releaseEntry(&e)
+			f.release()
+		}},
+		{"read-after-release", "read after release", func() {
+			f := getFrame()
+			f.release()
+			_ = f.bytes()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want one naming %q", msg, tc.want)
+				}
+			}()
+			tc.misuse()
+		})
+	}
 }
 
 // Corked entries must coalesce: N enqueueDeferred frames followed by one kick
@@ -149,7 +205,7 @@ func TestWriteQueueCorkedBatch(t *testing.T) {
 		got <- n
 	}()
 	for i := 0; i < frames; i++ {
-		if _, err := q.enqueueDeferred(okEntry(uint64(i), nil), 0); err != nil {
+		if _, err := q.enqueueDeferred(okEntry(uint64(i), frameRef{}), 0); err != nil {
 			t.Fatalf("enqueueDeferred: %v", err)
 		}
 	}
@@ -173,35 +229,35 @@ func TestWriteQueueCorkedBatch(t *testing.T) {
 }
 
 // A severed queue must release every queued entry exactly once and reject
-// later enqueues, releasing those too — release hooks recycle pooled request
-// bodies, so a leak here pins memory.
+// later enqueues, releasing those too — entries carry pooled request
+// bodies, so a leak here pins memory (and a second release panics).
 func TestWriteQueueSeverReleasesEntries(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
 	q := newWriteQueue(a, nil, nil)
 
-	var released atomic.Int64
-	entry := func() wqEntry { return okEntry(1, func() { released.Add(1) }) }
+	var bs bodies
+	entry := func() wqEntry { return okEntry(1, bs.next()) }
 	for i := 0; i < 3; i++ {
 		if _, err := q.enqueueDeferred(entry(), 0); err != nil {
 			t.Fatalf("enqueueDeferred: %v", err)
 		}
 	}
 	q.sever(fmt.Errorf("test sever"))
-	if n := released.Load(); n != 3 {
+	if n := bs.released(); n != 3 {
 		t.Fatalf("sever released %d entries, want 3", n)
 	}
 	if err := q.enqueue(entry()); err == nil {
 		t.Fatal("enqueue on severed queue succeeded")
 	}
-	if n := released.Load(); n != 4 {
+	if n := bs.released(); n != 4 {
 		t.Fatalf("rejected enqueue released %d entries total, want 4", n)
 	}
 	if _, err := q.enqueueDeferred(entry(), 0); err == nil {
 		t.Fatal("enqueueDeferred on severed queue succeeded")
 	}
-	if n := released.Load(); n != 5 {
+	if n := bs.released(); n != 5 {
 		t.Fatalf("rejected deferred enqueue released %d entries total, want 5", n)
 	}
 }
@@ -214,15 +270,15 @@ func TestWriteQueueFlushErrorSevers(t *testing.T) {
 	defer b.Close()
 	q := newWriteQueue(a, nil, nil)
 	a.Close() // every write now fails
-	var released atomic.Int64
-	entry := func() wqEntry { return okEntry(1, func() { released.Add(1) }) }
+	var bs bodies
+	entry := func() wqEntry { return okEntry(1, bs.next()) }
 	for i := 0; i < 3; i++ {
 		if _, err := q.enqueueDeferred(entry(), 0); err != nil {
 			t.Fatalf("enqueueDeferred: %v", err)
 		}
 	}
 	_ = q.enqueue(entry())
-	if n := released.Load(); n != 4 {
+	if n := bs.released(); n != 4 {
 		t.Fatalf("failed flush released %d entries, want 4 (3 corked + 1)", n)
 	}
 	if err := q.enqueue(wqEntry{}); err == nil {
@@ -230,7 +286,7 @@ func TestWriteQueueFlushErrorSevers(t *testing.T) {
 	}
 	q.sever(fmt.Errorf("late sever"))
 	q.kick()
-	if n := released.Load(); n != 4 {
+	if n := bs.released(); n != 4 {
 		t.Fatalf("entries released %d times in total, want 4", n)
 	}
 }

@@ -116,7 +116,7 @@ func frameDecodePooled(tb testing.TB) (func(), int) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		putBuf(body)
+		body.release()
 	}, 1
 }
 

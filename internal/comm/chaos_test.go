@@ -4,10 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
-
-	"rcuarray/internal/xsync"
 )
 
 func TestChaosCallTimeout(t *testing.T) {
@@ -107,7 +106,9 @@ func TestChaosInjectedResetBreaksClient(t *testing.T) {
 	if !IsTransient(err) {
 		t.Fatalf("reset not transient: %v", err)
 	}
-	xsync.SpinUntil(c.Broken) // read loop notices the severed conn
+	if !waitUntil(c.Broken, 5*time.Second) { // read loop notices the severed conn
+		t.Fatal("client not broken 5s after the reset")
+	}
 	if _, err := c.AM(1, nil); err == nil {
 		t.Fatal("broken client accepted a call")
 	}
@@ -167,7 +168,7 @@ func TestChaosHalfOpenConnectionReaped(t *testing.T) {
 		t.Fatalf("write header: %v", err)
 	}
 	conn.Write([]byte("stall"))
-	if !xsync.SpinUntilTimeout(func() bool { return n.OpenConns() == 0 }, 5*time.Second) {
+	if !waitUntil(func() bool { return n.OpenConns() == 0 }, 5*time.Second) {
 		t.Fatalf("half-open connection still pinned after 5s (%d open)", n.OpenConns())
 	}
 }
@@ -208,8 +209,8 @@ func TestChaosIdleTimeoutReapsSilentConns(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	xsync.SpinUntilTimeout(func() bool { return n.OpenConns() == 1 }, time.Second)
-	if !xsync.SpinUntilTimeout(func() bool { return n.OpenConns() == 0 }, 5*time.Second) {
+	waitUntil(func() bool { return n.OpenConns() == 1 }, time.Second)
+	if !waitUntil(func() bool { return n.OpenConns() == 0 }, 5*time.Second) {
 		t.Fatalf("silent connection survived the idle timeout")
 	}
 }
@@ -330,7 +331,9 @@ func TestChaosWriteDeadlineUnpinsSender(t *testing.T) {
 	}
 	// The connection was severed (a partial frame poisons the stream):
 	// later calls fail fast instead of queueing behind a pinned sendMu.
-	xsync.SpinUntil(c.Broken)
+	if !waitUntil(c.Broken, 5*time.Second) {
+		t.Fatal("client not broken 5s after the failed write")
+	}
 	start = time.Now()
 	if err := c.Put(1, 0, []byte{1}); err == nil {
 		t.Fatal("Put on a severed client succeeded")
@@ -365,4 +368,14 @@ func TestChaosStallFaultDelaysWrite(t *testing.T) {
 	if inj.Count(FaultStall) == 0 {
 		t.Fatal("no stall recorded")
 	}
+}
+
+// waitUntil yields until cond holds or timeout passes, and reports cond.
+func waitUntil(cond func() bool, timeout time.Duration) bool {
+	for deadline := time.Now().Add(timeout); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			return cond()
+		}
+	}
+	return true
 }

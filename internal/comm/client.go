@@ -144,7 +144,7 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 		if timeout == 0 {
 			timeout = cfg.DialTimeout
 		}
-		if _, err := c.callRaw(msgHello, frameSpec{data: p[:]}, timeout); err != nil {
+		if _, err := c.start(msgHello, frameSpec{data: p[:]}, timeout, false).wait(); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("comm: hello %s: %w", addr, err)
 		}
@@ -243,7 +243,7 @@ type Pending struct {
 	deadline time.Time // zero = wait forever
 	typ      byte
 	corked   bool      // the frame may still be unsent: Wait must kick the queue
-	started  time.Time // zero when the call is unobserved
+	started  obs.Stamp // zero when the call is unobserved
 	spanID   uint64    // trace span carried by the request (0 = untraced)
 }
 
@@ -259,8 +259,8 @@ func (c *Client) start(typ byte, s frameSpec, timeout time.Duration, cork bool) 
 	if timeout > 0 && !cork {
 		p.deadline = time.Now().Add(timeout)
 	}
-	if c.obs != nil && obs.On() {
-		p.started = time.Now()
+	if c.obs != nil {
+		p.started = obs.Start()
 	}
 
 	c.pendingMu.Lock()
@@ -273,14 +273,14 @@ func (c *Client) start(typ byte, s frameSpec, timeout time.Duration, cork bool) 
 	c.pending[seq] = ch
 	c.pendingMu.Unlock()
 
-	buf := getBuf()
-	*buf = appendRequestFrame((*buf)[:0], typ, seq, s)
+	buf := getFrame()
+	buf.set(appendRequestFrame(buf.bytes()[:0], typ, seq, s))
 	var err error
 	if cork {
 		p.corked = true
-		p.deadline, err = c.wq.enqueueDeferred(wqEntry{buf: buf}, timeout)
+		p.deadline, err = c.wq.enqueueDeferred(wqEntry{buf: buf.handoff()}, timeout)
 	} else {
-		err = c.wq.enqueue(wqEntry{buf: buf, deadline: p.deadline})
+		err = c.wq.enqueue(wqEntry{buf: buf.handoff(), deadline: p.deadline})
 	}
 	if err != nil {
 		// The queue was already severed; fail this request now (unless the
@@ -332,7 +332,7 @@ func (p *Pending) wait() ([]byte, error) {
 // latency when observability is wired and on. Call exactly once.
 func (p *Pending) Wait() ([]byte, error) {
 	resp, err := p.wait()
-	if !p.started.IsZero() {
+	if p.started != 0 {
 		p.c.obs.record(p.typ, p.started, err, p.spanID)
 	}
 	return resp, err
@@ -340,20 +340,9 @@ func (p *Pending) Wait() ([]byte, error) {
 
 // call issues one request and waits for its response until timeout elapses
 // (0 = wait forever), recording per-(op,peer) latency when observability is
-// wired and on.
+// wired and on: one Stamp, taken by start, times the whole call.
 func (c *Client) call(typ byte, s frameSpec, timeout time.Duration) ([]byte, error) {
-	if c.obs == nil || !obs.On() {
-		return c.callRaw(typ, s, timeout)
-	}
-	start := time.Now()
-	resp, err := c.callRaw(typ, s, timeout)
-	c.obs.record(typ, start, err, s.tc.SpanID)
-	return resp, err
-}
-
-func (c *Client) callRaw(typ byte, s frameSpec, timeout time.Duration) ([]byte, error) {
-	p := c.start(typ, s, timeout, false)
-	return p.wait()
+	return c.start(typ, s, timeout, false).Wait()
 }
 
 // Get reads length bytes at offset from the remote segment.

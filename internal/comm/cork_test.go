@@ -220,13 +220,13 @@ func burstQueue(t *testing.T, burst int) (*writeQueue, *countingConn) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = q.enqueue(okEntry(1, nil)) // becomes the flusher and blocks at the gate
+		_ = q.enqueue(okEntry(1, frameRef{})) // becomes the flusher and blocks at the gate
 	}()
 	<-gc.entered
 	for i := 0; i < burst; i++ {
 		// A flusher is active, so even past the high-water mark these only
 		// queue: the pinned flusher takes them all in its next batch.
-		if _, err := q.enqueueDeferred(okEntry(1, nil), 0); err != nil {
+		if _, err := q.enqueueDeferred(okEntry(1, frameRef{}), 0); err != nil {
 			t.Fatalf("enqueueDeferred: %v", err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestBurstSlicesNotRetained(t *testing.T) {
 	}
 	check("after the burst")
 	before := cc.frames.Load()
-	if err := q.enqueue(okEntry(2, nil)); err != nil {
+	if err := q.enqueue(okEntry(2, frameRef{})); err != nil {
 		t.Fatalf("enqueue: %v", err)
 	}
 	if got := cc.frames.Load() - before; got != 1 {
@@ -278,7 +278,7 @@ func TestFlushClearsOnlyFilledIovecs(t *testing.T) {
 	}
 	sentinel := []byte("sentinel")
 	full[burst/2] = sentinel
-	if err := q.enqueue(okEntry(2, nil)); err != nil {
+	if err := q.enqueue(okEntry(2, frameRef{})); err != nil {
 		t.Fatalf("enqueue: %v", err)
 	}
 	full = q.scratch[:cap(q.scratch)]

@@ -87,10 +87,6 @@ type Node struct {
 	handlerMu sync.RWMutex
 	handlers  map[uint16]amEntry
 
-	// connSeq numbers served connections; each gets its own data-plane
-	// span ring (tid) so the serve loop stays the single writer.
-	connSeq atomic.Uint64
-
 	// Write fencing: gens maps a client identity (from its hello frame) to
 	// the highest connection generation seen. Puts from a lower generation —
 	// a connection the client has since redialed past — are rejected, so a
@@ -358,7 +354,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		frames, bytes = n.obs.flushFrames, n.obs.flushBytes
 	}
 	wq := newWriteQueue(conn, frames, bytes)
-	makeEntry := func(seq uint64, resp []byte, herr error, release func()) wqEntry {
+	makeEntry := func(seq uint64, resp []byte, herr error, body frameRef) wqEntry {
 		var typ byte
 		if herr != nil {
 			typ, resp = msgError, []byte(herr.Error())
@@ -366,21 +362,22 @@ func (n *Node) serveConn(conn net.Conn) {
 			typ = msgOK
 			n.served.Add(1)
 		}
-		buf := getBuf()
-		*buf = frameHeader((*buf)[:0], typ, seq, len(resp))
+		buf := getFrame()
+		b := frameHeader(buf.bytes()[:0], typ, seq, len(resp))
 		var tail []byte
 		if len(resp) > inlineReply {
 			tail = resp
 		} else {
-			*buf = append(*buf, resp...)
+			b = append(b, resp...)
 		}
-		return wqEntry{buf: buf, tail: tail, release: release}
+		buf.set(b)
+		return wqEntry{buf: buf.handoff(), tail: tail, body: body}
 	}
 	// answer sends a reply from an AM goroutine. enqueue guarantees the entry
 	// is released exactly once even when the queue is already severed, so
-	// `release` (the AM request-body recycle) never leaks.
-	answer := func(seq uint64, resp []byte, herr error, release func()) {
-		_ = wq.enqueue(makeEntry(seq, resp, herr, release))
+	// the AM request body it carries never leaks.
+	answer := func(seq uint64, resp []byte, herr error, body frameRef) {
+		_ = wq.enqueue(makeEntry(seq, resp, herr, body))
 	}
 	// Active messages each run in their own goroutine so that long-running
 	// or blocking handlers (remote lock acquisition, workload execution)
@@ -394,8 +391,9 @@ func (n *Node) serveConn(conn net.Conn) {
 	// Request bodies are pooled. Inline frames (hello/GET/PUT) are done with
 	// the body the moment the handler returns — GET replies alias the
 	// *segment*, not the request — so it recycles immediately. An AM reply
-	// may alias its request payload (echo-style handlers), so its body
-	// recycles only after the reply is flushed, via the entry's release hook.
+	// may alias its request payload (echo-style handlers), so its body is
+	// handed to the reply's entry and recycles only after the reply is
+	// flushed.
 	// Requests arrive through a buffered reader, so a burst of pipelined
 	// frames costs one read syscall, and inline replies are corked
 	// (enqueueDeferred) while more complete input is already sitting in the
@@ -416,7 +414,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		}
 		var tc TraceCtx
 		if typ, tc, payload, err = splitTrace(typ, payload); err != nil {
-			putBuf(body)
+			body.release()
 			return // truncated trace header: broken protocol
 		}
 		n.obs.noteReq(typ)
@@ -426,30 +424,21 @@ func (n *Node) serveConn(conn net.Conn) {
 			if herr == nil {
 				ident, gen = i, g
 			}
-			putBuf(body)
-			_, _ = wq.enqueueDeferred(makeEntry(seq, nil, herr, nil), 0)
+			body.release()
+			_, _ = wq.enqueueDeferred(makeEntry(seq, nil, herr, frameRef{}), 0)
 		case msgGet, msgPut:
-			var t0 int64
-			traced := tc.SpanID != 0 && n.obs != nil && obs.On()
-			if traced {
-				if ring == nil {
-					ring = n.obs.connRing(int(n.connSeq.Add(1)))
-				}
-				t0 = n.obs.tr.Now()
-			}
+			t0 := n.obs.spanStart(tc)
 			resp, herr := n.dispatchData(typ, payload, ident, gen)
-			if traced {
-				n.obs.dataSpan(ring, typ, t0, tc.SpanID)
-			}
-			putBuf(body)
-			_, _ = wq.enqueueDeferred(makeEntry(seq, resp, herr, nil), 0)
+			ring = n.obs.dataSpan(ring, typ, t0, tc.SpanID)
+			body.release()
+			_, _ = wq.enqueueDeferred(makeEntry(seq, resp, herr, frameRef{}), 0)
 		default:
 			reqs.Add(1)
-			go func(typ byte, seq uint64, payload []byte, body *[]byte, tc TraceCtx) {
+			go func(typ byte, seq uint64, payload []byte, body frameRef, tc TraceCtx) {
 				defer reqs.Done()
 				resp, herr := n.dispatch(typ, payload, tc)
-				answer(seq, resp, herr, func() { putBuf(body) })
-			}(typ, seq, payload, body, tc)
+				answer(seq, resp, herr, body.handoff())
+			}(typ, seq, payload, body.handoff(), tc)
 		}
 		if br.Buffered() < 4 {
 			// Nothing more is ready in memory (4 bytes is the length prefix —
@@ -540,7 +529,7 @@ func (n *Node) dispatchData(typ byte, payload []byte, ident, gen uint64) ([]byte
 // frame. Whenever a read may touch the socket, the deadline is (re)armed
 // first, so a stale deadline from an earlier frame can never fire into a
 // later one's read.
-func (n *Node) readFrameDeadlinePooled(conn net.Conn, br *bufio.Reader) (typ byte, seq uint64, payload []byte, body *[]byte, err error) {
+func (n *Node) readFrameDeadlinePooled(conn net.Conn, br *bufio.Reader) (typ byte, seq uint64, payload []byte, body frameRef, err error) {
 	var lenBuf [4]byte
 	if br.Buffered() < 4 {
 		// The prefix read may block on the socket: bound the wait for the
@@ -551,16 +540,16 @@ func (n *Node) readFrameDeadlinePooled(conn net.Conn, br *bufio.Reader) (typ byt
 			err = conn.SetReadDeadline(time.Time{})
 		}
 		if err != nil {
-			return 0, 0, nil, nil, fmt.Errorf("comm: arm read deadline: %w", err)
+			return 0, 0, nil, frameRef{}, fmt.Errorf("comm: arm read deadline: %w", err)
 		}
 	}
 	if _, err = io.ReadFull(br, lenBuf[:]); err != nil {
-		return 0, 0, nil, nil, err
+		return 0, 0, nil, frameRef{}, err
 	}
 	if total := binary.BigEndian.Uint32(lenBuf[:]); br.Buffered() < int(total) {
 		if ft := n.cfg.frameTimeout(); ft > 0 {
 			if err = conn.SetReadDeadline(time.Now().Add(ft)); err != nil {
-				return 0, 0, nil, nil, fmt.Errorf("comm: arm read deadline: %w", err)
+				return 0, 0, nil, frameRef{}, fmt.Errorf("comm: arm read deadline: %w", err)
 			}
 		}
 	}
@@ -586,13 +575,10 @@ func (n *Node) dispatch(typ byte, payload []byte, tc TraceCtx) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("comm: no handler %d", handler)
 		}
-		if tc.SpanID != 0 && n.obs != nil && obs.On() {
-			t0 := n.obs.tr.Now()
-			resp, err := e.fn(data, tc)
-			n.obs.amRing.Complete(e.name, t0, n.obs.tr.Now()-t0, tc.SpanID)
-			return resp, err
-		}
-		return e.fn(data, tc)
+		t0 := n.obs.spanStart(tc)
+		resp, err := e.fn(data, tc)
+		n.obs.amSpan(e.name, t0, tc.SpanID)
+		return resp, err
 	default:
 		return nil, errors.New("comm: unknown message type")
 	}

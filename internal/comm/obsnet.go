@@ -3,7 +3,7 @@ package comm
 import (
 	"errors"
 	"fmt"
-	"time"
+	"sync/atomic"
 
 	"rcuarray/internal/obs"
 )
@@ -76,18 +76,13 @@ func newClientObs(r *obs.Registry, peer string, track int) *clientObs {
 	return co
 }
 
-// record feeds one completed call into the per-(op,peer) histogram and the
-// timeout/error counters, and — for a traced call — its RPC span into the
-// client's trace ring. The latency sample re-checks the global switch —
-// callers only time calls while observability is on, but the switch may
-// have flipped mid-call, and the outcome counters must count either way.
-func (co *clientObs) record(typ byte, start time.Time, err error, spanID uint64) {
-	if obs.On() {
-		dur := time.Since(start).Nanoseconds()
-		co.lat[typ].Observe(dur)
-		if spanID != 0 {
-			co.ring.Complete(co.rpcNames[typ], co.tr.Now()-dur, dur, spanID)
-		}
+// record feeds one call timed from start into the per-(op,peer) histogram
+// and the timeout/error counters, and — for a traced call — its RPC span
+// into the client's trace ring.
+func (co *clientObs) record(typ byte, start obs.Stamp, err error, spanID uint64) {
+	co.lat[typ].Since(start)
+	if spanID != 0 {
+		co.ring.Complete(co.rpcNames[typ], start, spanID)
 	}
 	switch {
 	case err == nil:
@@ -113,6 +108,7 @@ type nodeObs struct {
 	tr          *obs.Tracer
 	amRing      *obs.Ring
 	handleNames [256]obs.NameID
+	connSeq     atomic.Uint64 // numbers the per-connection rings (tid)
 }
 
 func newNodeObs(r *obs.Registry) *nodeObs {
@@ -131,20 +127,36 @@ func newNodeObs(r *obs.Registry) *nodeObs {
 	return no
 }
 
-// connRing returns the data-plane span ring for one served connection.
-func (no *nodeObs) connRing(connID int) *obs.Ring {
-	if no == nil {
-		return nil
+// spanStart begins the handler span of a traced request: the zero Stamp
+// when the request is untraced, the node has no registry, or observability
+// is off.
+func (no *nodeObs) spanStart(tc TraceCtx) obs.Stamp {
+	if no == nil || tc.SpanID == 0 {
+		return 0
 	}
-	return no.tr.Ring(NodeTracePid, connID)
+	return obs.Start()
 }
 
-// dataSpan records one traced GET/PUT handler span. t0 is the handler start
-// on the node's trace clock; call sites capture it only for traced frames
-// while observability is on, so untraced traffic never takes a timestamp.
-func (no *nodeObs) dataSpan(ring *obs.Ring, typ byte, t0 int64, spanID uint64) {
-	if ring != nil {
-		ring.Complete(no.handleNames[typ], t0, no.tr.Now()-t0, spanID)
+// dataSpan records one traced GET/PUT handler span begun at t0 on ring, the
+// served connection's data-plane ring, and returns the ring: the first
+// traced frame creates it, numbered from connSeq, so the serve loop stays
+// its single writer. A zero t0 records nothing and creates no ring.
+func (no *nodeObs) dataSpan(ring *obs.Ring, typ byte, t0 obs.Stamp, spanID uint64) *obs.Ring {
+	if t0 == 0 {
+		return ring
+	}
+	if ring == nil {
+		ring = no.tr.Ring(NodeTracePid, int(no.connSeq.Add(1)))
+	}
+	ring.Complete(no.handleNames[typ], t0, spanID)
+	return ring
+}
+
+// amSpan records one traced AM handler span begun at t0 on the shared AM
+// ring.
+func (no *nodeObs) amSpan(name obs.NameID, t0 obs.Stamp, spanID uint64) {
+	if no != nil {
+		no.amRing.Complete(name, t0, spanID)
 	}
 }
 

@@ -169,23 +169,25 @@ func readFrame(r io.Reader) (typ byte, seq uint64, payload []byte, err error) {
 
 // readFrameBodyPooled reads the remainder of a frame whose length prefix has
 // already arrived (the node reads the prefix separately so it can arm a
-// fresh read deadline for the body) into a pooled buffer: the returned
-// payload aliases *body, and the caller must putBuf(body) once the payload
-// is no longer referenced — after the handler has copied out and the
-// response (which may alias the payload) is on the wire.
-func readFrameBodyPooled(r io.Reader, lenBuf [4]byte) (typ byte, seq uint64, payload []byte, body *[]byte, err error) {
+// fresh read deadline for the body) into a pooled frame: the returned
+// payload aliases body's bytes, and the caller must release body once the
+// payload is no longer referenced — after the handler has copied out and
+// the response (which may alias the payload) is on the wire.
+func readFrameBodyPooled(r io.Reader, lenBuf [4]byte) (typ byte, seq uint64, payload []byte, body frameRef, err error) {
 	total := binary.BigEndian.Uint32(lenBuf[:])
 	if total < headerLen || total > maxFrame {
-		return 0, 0, nil, nil, fmt.Errorf("comm: invalid frame length %d", total)
+		return 0, 0, nil, frameRef{}, fmt.Errorf("comm: invalid frame length %d", total)
 	}
-	body = getBuf()
-	if cap(*body) < int(total) {
-		*body = make([]byte, total)
+	body = getFrame()
+	b := body.bytes()
+	if cap(b) < int(total) {
+		b = make([]byte, total)
+		body.set(b)
 	}
-	b := (*body)[:total]
+	b = b[:total]
 	if _, err = io.ReadFull(r, b); err != nil {
-		putBuf(body)
-		return 0, 0, nil, nil, fmt.Errorf("comm: short frame: %w", err)
+		body.release()
+		return 0, 0, nil, frameRef{}, fmt.Errorf("comm: short frame: %w", err)
 	}
 	return b[0], binary.BigEndian.Uint64(b[1:9]), b[9:], body, nil
 }

@@ -24,19 +24,16 @@ import (
 // a caller's pipelined Start* window and the node's replies to it are one
 // writev each instead of one per frame.
 //
-// Frame memory is pooled: callers encode into bufPool scratch buffers that
-// the flusher recycles once the batch is on the wire (or has failed). An
-// entry may also carry a zero-copy tail — a payload slice referenced
-// directly, never copied into the frame buffer; the node's larger GET
-// responses use this to point straight into the segment.
+// Frame memory is pooled: callers encode into framePool buffers, held
+// through generation-checked frame handles, that the flusher recycles once
+// the batch is on the wire (or has failed). An entry may also carry a
+// zero-copy tail — a payload slice referenced directly, never copied into
+// the frame buffer; the node's larger GET responses use this to point
+// straight into the segment.
 
-// bufPool recycles frame scratch buffers across calls and connections. The
-// pool stores *[]byte (not []byte) so Put does not allocate a slice header.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	},
+// framePool recycles frame buffers across calls and connections.
+var framePool = sync.Pool{
+	New: func() any { return &frameBuf{b: make([]byte, 0, 512)} },
 }
 
 // maxPooledBuf bounds what returns to the pool: a rare huge frame (workload
@@ -55,40 +52,113 @@ const corkHighWater = 64 << 10
 // connection.
 const maxRetainedEntries = 2048
 
-func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
+// frameBuf is one pooled frame buffer. gen moves on at each release and
+// each hand-off, so every handle minted before it is stale. Only the
+// buffer's owner touches gen, and ownership moves with a happens-before edge
+// (the write queue's mutex, the pool, a go statement), so plain fields
+// suffice: a stale handle used while another party owns the buffer is also
+// a data race that the race detector reports.
+type frameBuf struct {
+	b      []byte
+	gen    uint32
+	handed uint32 // the generation the last hand-off minted, for the panic message
+}
 
-func putBuf(b *[]byte) {
-	if b == nil || cap(*b) > maxPooledBuf {
+// frameRef is a generation-checked handle to a pooled buffer, owned by one
+// party at a time. handoff moves ownership to a new handle and release
+// returns the buffer to the pool; either leaves the old handle stale, and
+// any later read, write, hand-off or release through it panics naming the
+// misuse, on the path that commits it. The zero frameRef owns nothing and
+// releases as a no-op.
+type frameRef struct {
+	fb  *frameBuf
+	gen uint32
+}
+
+func getFrame() frameRef {
+	fb := framePool.Get().(*frameBuf)
+	return frameRef{fb, fb.gen}
+}
+
+// bytes returns the frame's contents.
+func (f frameRef) bytes() []byte {
+	f.check("read")
+	return f.fb.b
+}
+
+// set replaces the frame's contents (an append that may have grown it).
+func (f frameRef) set(b []byte) {
+	f.check("written")
+	f.fb.b = b
+}
+
+// handoff moves ownership to the returned handle — an entry that releases
+// it — and leaves f stale.
+func (f frameRef) handoff() frameRef {
+	f.check("handed off")
+	f.fb.gen++
+	f.fb.handed = f.fb.gen
+	return frameRef{f.fb, f.fb.gen}
+}
+
+// release returns the buffer to the pool; a buffer grown past
+// maxPooledBuf is dropped instead, so a rare huge frame does not pin its
+// allocation forever.
+func (f frameRef) release() {
+	if f.fb == nil {
 		return
 	}
-	*b = (*b)[:0]
-	bufPool.Put(b)
+	f.check("released")
+	f.fb.gen++
+	if cap(f.fb.b) > maxPooledBuf {
+		return
+	}
+	f.fb.b = f.fb.b[:0]
+	framePool.Put(f.fb)
+}
+
+// check panics, naming the misuse, when f is stale.
+func (f frameRef) check(op string) {
+	if f.fb.gen != f.gen {
+		f.stale(op)
+	}
+}
+
+// stale panics for a misuse through a stale handle. It stays out of line so
+// the checks that call it inline small.
+//
+//go:noinline
+func (f frameRef) stale(op string) {
+	after := "release"
+	if f.fb.handed == f.gen+1 {
+		after = "hand-off"
+	}
+	if op == "released" && after == "release" {
+		panic("comm: pooled frame released twice")
+	}
+	panic("comm: pooled frame " + op + " after " + after)
 }
 
 // wqEntry is one frame awaiting flush.
 type wqEntry struct {
-	buf *[]byte // pooled frame bytes (length prefix + header [+ payload])
-	// tail, when non-nil, is written immediately after *buf without being
+	buf frameRef // frame bytes (length prefix + header [+ payload])
+	// tail, when non-nil, is written immediately after buf without being
 	// copied (zero-copy response payloads). The slice must stay valid until
-	// release runs.
+	// the entry is released.
 	tail []byte
 	// deadline is when the caller gives up (zero = none). A batch arms the
 	// earliest deadline of its frames as the connection write deadline.
 	deadline time.Time
-	// release, when non-nil, runs exactly once after the entry's bytes are
-	// written or the write has failed (the node recycles request-body
-	// buffers here).
-	release func()
+	// body, when set, is the request body an AM reply may alias: it is
+	// released with the entry, once the reply is written or the write has
+	// failed.
+	body frameRef
 }
 
-// releaseEntry returns an entry's pooled resources and runs its callback.
+// releaseEntry returns an entry's pooled buffers.
 func releaseEntry(e *wqEntry) {
-	if e.buf != nil {
-		putBuf(e.buf)
-	}
-	if e.release != nil {
-		e.release()
-	}
+	e.buf.release()
+	e.body.release()
 	*e = wqEntry{}
 }
 
@@ -180,7 +250,7 @@ func (q *writeQueue) enqueueDeferred(e wqEntry, timeout time.Duration) (time.Tim
 		e.deadline = q.corkedAt.Add(timeout)
 	}
 	q.pend = append(q.pend, e)
-	q.corked += len(*e.buf) + len(e.tail)
+	q.corked += len(e.buf.bytes()) + len(e.tail)
 	flush := q.corked >= corkHighWater && !q.flushing
 	if flush {
 		q.flushing = true
@@ -268,7 +338,7 @@ func (q *writeQueue) writeBatch(batch []wqEntry) error {
 	bufs := q.scratch[:0]
 	total := 0
 	for i := range batch {
-		b := *batch[i].buf
+		b := batch[i].buf.bytes()
 		bufs = append(bufs, b)
 		total += len(b)
 		if t := batch[i].tail; t != nil {

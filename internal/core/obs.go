@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"rcuarray/internal/locale"
 	"rcuarray/internal/obs"
 )
@@ -61,63 +59,40 @@ func newArrayObs(c *locale.Cluster) *arrayObs {
 	}
 }
 
-// ring returns the trace track of the calling task: pid = locale, tid =
-// task slot.
-func (o *arrayObs) ring(t *locale.Task) *obs.Ring {
-	return o.tracer.Ring(t.Here().ID(), t.Slot())
-}
-
 // resizeSpans times the phases of one resize and emits trace spans on the
-// initiating task's track. The zero value is inert; start arms it only when
-// observability is enabled, so a disabled resize pays one branch per phase.
+// initiating task's track. Its ring is nil — a no-op — when observability
+// was off at start, and its phase stamps are zero while off, so a disabled
+// resize pays one branch per phase.
 type resizeSpans struct {
-	on   bool
 	ring *obs.Ring
-	t0   time.Time
+	t0   obs.Stamp
 }
 
 // start opens the whole-resize span (name) on the initiator's track.
 func (rs *resizeSpans) start(o *arrayObs, t *locale.Task, name obs.NameID) {
-	if !obs.On() {
-		return
-	}
-	rs.on = true
-	rs.ring = o.ring(t)
+	rs.ring = o.tracer.Track(t.Here().ID(), t.Slot())
 	rs.ring.Begin(name)
 }
 
 // begin opens a phase span and stamps the phase start.
 func (rs *resizeSpans) begin(name obs.NameID) {
-	if !rs.on {
-		return
-	}
-	rs.t0 = time.Now()
+	rs.t0 = obs.Start()
 	rs.ring.Begin(name)
 }
 
 // end closes a phase span and feeds its duration to hist.
 func (rs *resizeSpans) end(name obs.NameID, hist *obs.Histogram) {
-	if !rs.on {
-		return
-	}
 	rs.ring.End(name)
-	hist.Observe(time.Since(rs.t0).Nanoseconds())
+	hist.Since(rs.t0)
 }
 
 // finish closes the whole-resize span.
-func (rs *resizeSpans) finish(name obs.NameID) {
-	if rs.on {
-		rs.ring.End(name)
-	}
-}
+func (rs *resizeSpans) finish(name obs.NameID) { rs.ring.End(name) }
 
 // localeSpan opens a span on sub's own track (per-locale install work) and
-// returns its ring; a nil ring (observability off) no-ops on End.
-func (rs *resizeSpans) localeSpan(o *arrayObs, sub *locale.Task, name obs.NameID) *obs.Ring {
-	if !rs.on {
-		return nil
-	}
-	r := o.ring(sub)
+// returns its ring, nil — a no-op — while observability is off.
+func (o *arrayObs) localeSpan(sub *locale.Task, name obs.NameID) *obs.Ring {
+	r := o.tracer.Track(sub.Here().ID(), sub.Slot())
 	r.Begin(name)
 	return r
 }

@@ -71,9 +71,7 @@ func (a *Array[T]) Grow(t *locale.Task, additional int) {
 	// (plus one install span per locale track inside the coforall).
 	var rs resizeSpans
 	rs.start(a.o, t, a.o.nGrow)
-	if rs.on {
-		a.o.grows.Inc()
-	}
+	a.o.grows.Inc()
 
 	rs.begin(a.o.nLock)
 	a.writeLock.Acquire(t)
@@ -123,10 +121,8 @@ func (a *Array[T]) Grow(t *locale.Task, additional int) {
 			oldBoundary[sub.Here().ID()] = cell.Swap(inst.dom, inst.newRegion(ext))
 		})
 		rs.end(a.o.nRegionFlip, a.o.regionFlipNs)
-		if rs.on {
-			a.o.regionFlips.Inc()
-			rs.ring.Instant(a.o.nRegionIdx, int64(boundary))
-		}
+		a.o.regionFlips.Inc()
+		rs.ring.Instant(a.o.nRegionIdx, int64(boundary))
 		a.regionEvent(RegionEvent{Op: "grow", Kind: "flip", Region: boundary, NBlocks: oldN})
 		a.yield(PointInstallRegionFlipped)
 	}
@@ -137,7 +133,7 @@ func (a *Array[T]) Grow(t *locale.Task, additional int) {
 	// entered before this publication and is covered by the one grace.
 	rs.begin(a.o.nInstall)
 	a.publishAll(t, func(sub *locale.Task, inst *instance[T]) func() {
-		ls := rs.localeSpan(a.o, sub, a.o.nInstall)
+		ls := a.o.localeSpan(sub, a.o.nInstall)
 		old := inst.snap.Load()
 		nd := &snapshot[T]{nBlocks: newN, regionBlocks: rb}
 		nd.regions = append(make([]*ebr.Cell[regionTable[T]], 0, region.Count(newN, rb)), old.regions...)
@@ -151,9 +147,7 @@ func (a *Array[T]) Grow(t *locale.Task, additional int) {
 		if oldBoundary != nil { // step 3 ran
 			flip = &oldBoundary[sub.Here().ID()]
 		}
-		if ls != nil {
-			ls.End(a.o.nInstall)
-		}
+		ls.End(a.o.nInstall)
 		// Every cell of the old directory lives on in the new one.
 		return func() { inst.retire(a.opts.Variant, sub, u, len(old.regions), flip) }
 	})
@@ -185,9 +179,7 @@ func (a *Array[T]) Shrink(t *locale.Task, removed int) {
 
 	var rs resizeSpans
 	rs.start(a.o, t, a.o.nShrink)
-	if rs.on {
-		a.o.shrinks.Inc()
-	}
+	a.o.shrinks.Inc()
 	defer rs.finish(a.o.nShrink)
 
 	rs.begin(a.o.nLock)
@@ -216,7 +208,7 @@ func (a *Array[T]) Shrink(t *locale.Task, removed int) {
 	}
 	rs.begin(a.o.nInstall)
 	a.publishAll(t, func(sub *locale.Task, inst *instance[T]) func() {
-		ls := rs.localeSpan(a.o, sub, a.o.nInstall)
+		ls := a.o.localeSpan(sub, a.o.nInstall)
 		old := inst.snap.Load()
 		nd := &snapshot[T]{nBlocks: keep, regionBlocks: rb}
 		nd.regions = append([]*ebr.Cell[regionTable[T]](nil), old.regions[:keepRegions]...)
@@ -233,9 +225,7 @@ func (a *Array[T]) Shrink(t *locale.Task, removed int) {
 		}
 		inst.snapStats.NoteAlloc(false)
 		u := inst.snap.Swap(inst.dom, nd)
-		if ls != nil {
-			ls.End(a.o.nInstall)
-		}
+		ls.End(a.o.nInstall)
 		// Batched: one grace period retires everything.
 		return func() { inst.retire(a.opts.Variant, sub, u, orphaned, nil) }
 	})

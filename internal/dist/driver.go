@@ -477,7 +477,7 @@ func (d *Driver) Grow(additional int) error {
 
 	var allocs []allocated
 	fail := func(stage string, cause error) error {
-		gs.abort(d.o)
+		gs.abort()
 		d.abortResize(token, epoch, oldTable, allocs, tc)
 		if rerr := d.releaseLock(token, childCtx(tc, growSpanRelease)); rerr != nil {
 			// Best effort: a lapsed lease has already released itself.

@@ -501,11 +501,7 @@ func (n *ArrayNode) Snapshot() (SnapshotInfo, error) {
 	}
 	n.snapMu.Lock()
 	defer n.snapMu.Unlock()
-	timed := obs.On()
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
+	start := obs.Start()
 
 	// The cut: pin an epoch (EBR read section), read the published table,
 	// capture milestones, rotate the WAL so every milestone acknowledged
@@ -585,9 +581,7 @@ func (n *ArrayNode) Snapshot() (SnapshotInfo, error) {
 	n.pruneDurable(snapSeq, newSeq)
 	n.snapshots.Inc()
 	n.snapBytes.Add(uint64(bytes))
-	if timed {
-		n.snapNs.Observe(time.Since(start).Nanoseconds())
-	}
+	n.snapNs.Since(start)
 	return SnapshotInfo{
 		Fence:  cutState.maxFence,
 		Epoch:  cutState.appliedEpoch,
@@ -696,11 +690,7 @@ func (n *ArrayNode) recoverFromDisk() error {
 	if err != nil {
 		return err
 	}
-	timed := obs.On()
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
+	start := obs.Start()
 
 	// Bump and re-persist the generation before dialing anyone: once any
 	// peer sees the new hello, the crashed incarnation's in-flight Puts are
@@ -890,9 +880,7 @@ func (n *ArrayNode) recoverFromDisk() error {
 
 	n.walReplayed.Add(uint64(replayed))
 	n.recoveries.Inc()
-	if timed {
-		n.recoverNs.Observe(time.Since(start).Nanoseconds())
-	}
+	n.recoverNs.Since(start)
 	return nil
 }
 

@@ -408,7 +408,7 @@ func (n *ArrayNode) handleAllocBlock(payload []byte) ([]byte, error) {
 	defer n.mu.Unlock()
 	if fence <= n.rs.maxFence {
 		n.fenced.Inc()
-		n.trace.instant(n.trace.nFenced, int64(fence))
+		n.trace.ring.Instant(n.trace.nFenced, int64(fence))
 		return nil, fmt.Errorf("dist: alloc fenced: token %d at or below milestone %d", fence, n.rs.maxFence)
 	}
 	e, ok := n.allocs[reqID]
@@ -525,7 +525,7 @@ func (n *ArrayNode) handleInstall(payload []byte) ([]byte, error) {
 		next, v := n.rs.next(rec)
 		if v == vFenced || v == vTombstoned {
 			n.fenced.Inc()
-			n.trace.instant(n.trace.nFenced, int64(q.Fence))
+			n.trace.ring.Instant(n.trace.nFenced, int64(q.Fence))
 			err := fmt.Errorf("dist: install of aborted resize (token %d, epoch %d)", q.Fence, q.Epoch)
 			if v == vFenced {
 				err = fmt.Errorf("dist: install fenced: token %d superseded by %d", q.Fence, n.rs.maxFence)
@@ -556,11 +556,11 @@ func (n *ArrayNode) handleInstall(payload []byte) ([]byte, error) {
 		// landing in that window must not see this install claim applied
 		// status afterwards.
 		n.rs = next
-		n.trace.begin(n.trace.nInstall)
+		n.trace.ring.Begin(n.trace.nInstall)
 		n.replaceTableLocked(proof, rec.Table)
-		n.trace.end(n.trace.nInstall)
+		n.trace.ring.End(n.trace.nInstall)
 		n.regionFlips.Inc()
-		n.trace.instant(n.trace.nRegion, int64(k))
+		n.trace.ring.Instant(n.trace.nRegion, int64(k))
 		if v == vCommit {
 			n.installs.Inc()
 		}
@@ -592,7 +592,7 @@ func (n *ArrayNode) handleAbort(payload []byte) ([]byte, error) {
 	next, v := n.rs.next(rec)
 	if v == vFenced {
 		n.fenced.Inc()
-		n.trace.instant(n.trace.nFenced, int64(q.Fence))
+		n.trace.ring.Instant(n.trace.nFenced, int64(q.Fence))
 		return nil, nil
 	}
 	// Write-ahead, before any state (tombstone included) changes: a crash
@@ -607,7 +607,7 @@ func (n *ArrayNode) handleAbort(payload []byte) ([]byte, error) {
 		n.pruneAllocsLocked(q.Fence, q.Table)
 		return nil, nil
 	}
-	n.trace.begin(n.trace.nAbort)
+	n.trace.ring.Begin(n.trace.nAbort)
 	abortedTable := n.replaceTableLocked(proof, q.Table)
 	// Free the local blocks the aborted install had added — present in the
 	// table being rolled back but not in the rollback table. This runs after
@@ -628,7 +628,7 @@ func (n *ArrayNode) handleAbort(payload []byte) ([]byte, error) {
 		}
 	}
 	n.pruneAllocsLocked(q.Fence, q.Table)
-	n.trace.end(n.trace.nAbort)
+	n.trace.ring.End(n.trace.nAbort)
 	n.aborts.Inc()
 	return nil, nil
 }
@@ -679,7 +679,7 @@ func (n *ArrayNode) handleLockAcquire(payload []byte) ([]byte, error) {
 	// only grow.
 	if n.lockHolder != 0 {
 		n.leaseExpiries.Inc()
-		n.trace.lockInstant(n.trace.nLease, int64(n.lockHolder))
+		n.trace.lockRing.Instant(n.trace.nLease, int64(n.lockHolder))
 	}
 	n.lockFence++
 	n.lockHolder = n.lockFence

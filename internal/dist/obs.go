@@ -1,10 +1,6 @@
 package dist
 
-import (
-	"time"
-
-	"rcuarray/internal/obs"
-)
+import "rcuarray/internal/obs"
 
 // Observability for the distributed layer.
 //
@@ -13,14 +9,13 @@ import (
 // atomics on ArrayNode: /metrics and the NodeStats RPC then read the same
 // source of truth. They count unconditionally — NodeStats is protocol state
 // the resilience tests assert on, not optional telemetry — which costs the
-// same as the atomics they replace. Only timestamping and trace-ring writes
-// are gated on the global obs.On() switch.
+// same as the atomics they replace. Only timestamps and trace-ring writes
+// depend on the global obs.On() switch, and obs's types check it.
 
-// nodeTrace carries an ArrayNode's interned trace names and its ring. The
-// ring is created at configure time (the node id, which keys the track, is
-// unknown before that). Handlers write through the gated helpers below: a
-// disabled run pays one obs.On() branch per event instead of a ring-write
-// call whose no-op check lives on the far side of a method dispatch.
+// nodeTrace carries an ArrayNode's interned trace names and its rings. The
+// rings are created at configure time (the node id, which keys the track,
+// is unknown before that); until then they are nil, which no-ops like a
+// disabled ring.
 type nodeTrace struct {
 	tr       *obs.Tracer
 	ring     *obs.Ring // install/abort track, serialized by ArrayNode.mu
@@ -30,36 +25,6 @@ type nodeTrace struct {
 	nFenced  obs.NameID
 	nLease   obs.NameID
 	nRegion  obs.NameID
-}
-
-// instant writes one point event on the install/abort track when
-// observability is on.
-func (nt *nodeTrace) instant(n obs.NameID, arg int64) {
-	if obs.On() {
-		nt.ring.Instant(n, arg)
-	}
-}
-
-// begin opens a span on the install/abort track when observability is on.
-func (nt *nodeTrace) begin(n obs.NameID) {
-	if obs.On() {
-		nt.ring.Begin(n)
-	}
-}
-
-// end closes a span on the install/abort track when observability is on.
-func (nt *nodeTrace) end(n obs.NameID) {
-	if obs.On() {
-		nt.ring.End(n)
-	}
-}
-
-// lockInstant writes one point event on the lease track when
-// observability is on.
-func (nt *nodeTrace) lockInstant(n obs.NameID, arg int64) {
-	if obs.On() {
-		nt.lockRing.Instant(n, arg)
-	}
 }
 
 func (nt *nodeTrace) init(tr *obs.Tracer) {
@@ -78,8 +43,8 @@ const driverTracePid = 1 << 16
 // driverObs bundles the driver's resilience counters and resize-phase
 // instrumentation. Counters count unconditionally (the chaos tests
 // cross-check them against the fault injector's plan, which does not know
-// about the enable switch); histograms and spans are On()-gated because they
-// take timestamps.
+// about the enable switch); histograms and spans record only while
+// observability is on, because they take timestamps.
 type driverObs struct {
 	reg *obs.Registry
 
@@ -152,82 +117,61 @@ func (o *driverObs) noteTransient() {
 // touches the ring).
 type growSpans struct {
 	o     *driverObs
-	on    bool
-	t0    time.Time // whole-resize start
-	phase time.Time // current phase start
+	t0    obs.Stamp // whole-resize start
+	phase obs.Stamp // current phase start
 }
+
+// inertDriverObs stands in for a driver without a registry: every handle
+// in it is nil, and a nil handle no-ops.
+var inertDriverObs driverObs
 
 func (gs *growSpans) start(o *driverObs) {
 	if o == nil {
-		return
-	}
-	o.grows.Inc()
-	if !obs.On() {
-		return
+		o = &inertDriverObs
 	}
 	gs.o = o
-	gs.on = true
-	gs.t0 = time.Now()
+	o.grows.Inc()
+	gs.t0 = obs.Start()
 }
 
 // acquired stamps the end of the lock wait and opens the resize span (the
 // first ring write, now safely under the lease).
 func (gs *growSpans) acquired() {
-	if !gs.on {
-		return
-	}
-	gs.o.lockWaitNs.Observe(time.Since(gs.t0).Nanoseconds())
+	gs.o.lockWaitNs.Since(gs.t0)
 	gs.o.ring.Begin(gs.o.nGrow)
 }
 
 func (gs *growSpans) beginAlloc() {
-	if gs.on {
-		gs.phase = time.Now()
-		gs.o.ring.Begin(gs.o.nAlloc)
-	}
+	gs.phase = obs.Start()
+	gs.o.ring.Begin(gs.o.nAlloc)
 }
 
 func (gs *growSpans) endAlloc() {
-	if gs.on {
-		gs.o.ring.End(gs.o.nAlloc)
-		gs.o.allocNs.Observe(time.Since(gs.phase).Nanoseconds())
-	}
+	gs.o.ring.End(gs.o.nAlloc)
+	gs.o.allocNs.Since(gs.phase)
 }
 
 func (gs *growSpans) beginInstall() {
-	if gs.on {
-		gs.phase = time.Now()
-		gs.o.ring.Begin(gs.o.nInst)
-	}
+	gs.phase = obs.Start()
+	gs.o.ring.Begin(gs.o.nInst)
 }
 
 func (gs *growSpans) endInstall() {
-	if gs.on {
-		gs.o.ring.End(gs.o.nInst)
-		gs.o.installNs.Observe(time.Since(gs.phase).Nanoseconds())
-	}
+	gs.o.ring.End(gs.o.nInst)
+	gs.o.installNs.Since(gs.phase)
 }
 
 // abort marks the rollback (still under the lease) and closes the resize
 // span. The abort counter increments even with observability off.
-func (gs *growSpans) abort(o *driverObs) {
-	if o == nil {
-		return
-	}
-	o.aborted.Inc()
-	if !gs.on {
-		return
-	}
-	o.ring.Instant(o.nAbort, 0)
-	o.ring.End(o.nGrow)
-	o.growNs.Observe(time.Since(gs.t0).Nanoseconds())
+func (gs *growSpans) abort() {
+	gs.o.aborted.Inc()
+	gs.o.ring.Instant(gs.o.nAbort, 0)
+	gs.o.ring.End(gs.o.nGrow)
+	gs.o.growNs.Since(gs.t0)
 }
 
 // commit closes the resize span before the lease is released.
 func (gs *growSpans) commit() {
-	if !gs.on {
-		return
-	}
 	gs.o.ring.End(gs.o.nGrow)
-	gs.o.growNs.Observe(time.Since(gs.t0).Nanoseconds())
+	gs.o.growNs.Since(gs.t0)
 }

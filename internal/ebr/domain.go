@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-	"time"
 
 	"rcuarray/internal/obs"
 	"rcuarray/internal/xsync"
@@ -73,9 +72,9 @@ type Domain struct {
 	o atomic.Pointer[domainObs]
 
 	// Watchdog state (watchdog.go), written only while observability is on.
-	// syncStart is the wall-clock nanosecond at which an in-flight
-	// Synchronize advanced the epoch (0 = none in flight); syncParity is the
-	// parity it is waiting out. lastEntry[parity][stripe] is the most recent
+	// syncStart is the obs.Stamp at which an in-flight Synchronize advanced
+	// the epoch (0 = none in flight); syncParity is the parity it is waiting
+	// out. lastEntry[parity][stripe] is the most recent
 	// reader annotation on that stripe — packed (slot, site) — stored with
 	// one plain atomic write at Enter so the watchdog can name the culprit of
 	// a stalled grace period without the read path ever taking a timestamp.
@@ -288,33 +287,27 @@ func (d *Domain) Synchronize() {
 	defer d.writerActive.Store(0)
 
 	d.synchronizes.Inc()
-	// Synchronize is the writer-side slow path, so it may take timestamps
-	// when observability is on: the grace period — epoch advance to last
+	// Synchronize is the writer-side slow path, so it times itself when
+	// observability is on: the grace period — epoch advance to last
 	// old-parity reader exit — is the quantity the reclamation literature
 	// says to watch (defer-backlog blowup starts here).
-	var o *domainObs
-	var t0 time.Time
-	if obs.On() {
-		o = d.obsHandles()
-		t0 = time.Now()
-	}
+	t0 := obs.Start()
 	// fetch-add: the returned previous value is the epoch e whose readers
 	// may still be using the snapshot being retired.
 	prev := d.globalEpoch.Add(1) - 1
 	idx := prev & 1
-	if o != nil {
+	if t0 != 0 {
 		// Publish the in-flight grace period for the stall watchdog: parity
 		// first, so a sampler that sees syncStart non-zero reads the parity
 		// this Synchronize is actually waiting on.
 		d.syncParity.Store(idx)
-		d.syncStart.Store(t0.UnixNano())
+		d.syncStart.Store(int64(t0))
 	}
 	var stalls uint64
-	var b xsync.Backoff
 	for d.sumStripes(idx) != 0 {
 		stalls++
 		if stalls <= syncSpins {
-			b.Wait()
+			spin(4 << (stalls % 6))
 			continue
 		}
 		// Publish the wake channel, then re-sum: a reader whose last
@@ -328,16 +321,28 @@ func (d *Domain) Synchronize() {
 		d.waiter.Store(nil)
 	}
 	d.graced.Store(prev + 1)
-	if o != nil {
+	if t0 != 0 {
 		d.syncStart.Store(0)
-		o.grace.Observe(time.Since(t0).Nanoseconds())
-		o.stalls.Add(stalls)
 	}
+	o := d.obsHandles()
+	o.grace.Since(t0)
+	o.stalls.Add(stalls)
 }
 
-// syncSpins is how many Backoff steps Synchronize spins before it parks:
-// Backoff's busy-spin phase, and none of its Gosched or sleep steps.
+// syncSpins is how many busy-spin steps Synchronize takes before it parks.
+// The steps are short and few: on a single-core host (GOMAXPROCS=1) pure
+// spinning would starve the reader it waits on.
 const syncSpins = 16
+
+// spin busy-loops n iterations.
+//
+//go:noinline
+func spin(n uint64) {
+	for i := uint64(0); i < n; i++ {
+		// The loop body is empty on purpose; go:noinline keeps the
+		// compiler from deleting the loop entirely.
+	}
+}
 
 // sumStripes returns one pass over parity idx's stripes.
 func (d *Domain) sumStripes(idx uint64) uint64 {

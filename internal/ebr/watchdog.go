@@ -103,13 +103,7 @@ func (d *Domain) StartWatchdog(cfg WatchdogConfig) *Watchdog {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	r.GaugeFunc("rcu_grace_age_ns", func() int64 {
-		s := d.syncStart.Load()
-		if s == 0 {
-			return 0
-		}
-		return time.Now().UnixNano() - s
-	})
+	r.GaugeFunc("rcu_grace_age_ns", func() int64 { return obs.Stamp(d.syncStart.Load()).Elapsed() })
 	go w.run()
 	return w
 }
@@ -146,7 +140,7 @@ func (w *Watchdog) sample() {
 	if start == 0 {
 		return // no grace period in flight
 	}
-	age := time.Now().UnixNano() - start
+	age := obs.Stamp(start).Elapsed()
 	if age < w.cfg.Threshold.Nanoseconds() {
 		return
 	}
@@ -185,9 +179,7 @@ func (w *Watchdog) fire(age int64) {
 	}
 	w.warnings.Inc()
 	w.count.Add(1)
-	if obs.On() {
-		w.ring.Instant(w.nStall, age)
-	}
+	w.ring.Instant(w.nStall, age)
 	if w.cfg.OnStall != nil {
 		w.cfg.OnStall(rep)
 	}

@@ -50,6 +50,15 @@ func (h *Histogram) Observe(ns int64) {
 	}
 }
 
+// Since records the nanoseconds elapsed since s, a Stamp from Start. A zero
+// Stamp — observability was off when the interval began — records nothing,
+// so a disabled run reads no clock here either.
+func (h *Histogram) Since(s Stamp) {
+	if h != nil && s != 0 {
+		h.Observe(s.Elapsed())
+	}
+}
+
 // Count returns the total number of observations (0 for nil).
 func (h *Histogram) Count() uint64 {
 	if h == nil {

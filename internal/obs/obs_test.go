@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeStriped(t *testing.T) {
@@ -103,6 +104,49 @@ func TestEnableGate(t *testing.T) {
 	ring.Instant(name, 1)
 	if got := len(r.Tracer().Events()); got != 1 {
 		t.Fatalf("ring recorded %d events while enabled, want 1", got)
+	}
+}
+
+// TestStampGate pins the Stamp contract: a zero Stamp — the only one Start
+// hands out while observability is off — records nothing through Since or
+// Complete, even when the interval closes after SetEnabled(true), so a
+// time-since-zero sample never lands in a histogram or a ring.
+func TestStampGate(t *testing.T) {
+	defer SetEnabled(false)
+	cases := []struct {
+		name         string
+		onAtStart    bool
+		onAtClose    bool
+		wantRecorded uint64
+	}{
+		{"off", false, false, 0},
+		{"off-then-on", false, true, 0},
+		{"on", true, true, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			h := r.Histogram("h_ns")
+			ring := r.Tracer().Ring(0, 0)
+			name := r.Tracer().Name("x")
+			SetEnabled(tc.onAtStart)
+			s := Start()
+			if (s == 0) == tc.onAtStart {
+				t.Fatalf("Start() = %d with observability on=%v", s, tc.onAtStart)
+			}
+			SetEnabled(tc.onAtClose)
+			h.Since(s)
+			ring.Complete(name, s, 1)
+			if got := h.Count(); got != tc.wantRecorded {
+				t.Fatalf("Since recorded %d samples, want %d", got, tc.wantRecorded)
+			}
+			if got := uint64(len(r.Tracer().Events())); got != tc.wantRecorded {
+				t.Fatalf("Complete recorded %d events, want %d", got, tc.wantRecorded)
+			}
+			if max := h.Snap().MaxNanos; max > uint64(time.Minute) {
+				t.Fatalf("histogram max %d ns: a sample timed from the zero Stamp landed", max)
+			}
+		})
 	}
 }
 

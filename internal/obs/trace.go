@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // RingSize is the number of event slots per trace ring (power of two). At
@@ -40,8 +39,10 @@ type slot struct {
 // Ring is a mostly-single-writer, many-reader ring of trace events for one
 // (pid, tid) track — by convention pid is the locale and tid the task slot.
 // The owning task calls Begin/End/Instant; any goroutine may snapshot
-// concurrently via the tracer. A nil *Ring is a no-op, so callers can hold
-// an unconditional handle and let the On() gate decide at runtime.
+// concurrently via the tracer. Every write method checks the On() gate in
+// its own inlinable body, and a nil *Ring is a no-op, so callers hold an
+// unconditional handle and write unconditionally: a disabled run pays one
+// branch per event and no call.
 //
 // Nested Begin/End pairs still require a single writer (nesting is
 // reconstructed from write order). Self-contained events — Instant and
@@ -59,10 +60,7 @@ type Ring struct {
 
 // write appends one event stamped with the current trace clock.
 func (r *Ring) write(ph uint32, name uint32, arg int64) {
-	if r == nil || !enabled.Load() {
-		return
-	}
-	r.writeAt(ph, name, arg, int64(time.Since(r.tr.start)), 0)
+	r.writeAt(ph, name, arg, int64(now()-r.tr.start), 0)
 }
 
 // writeAt appends one event with an explicit timestamp and span id.
@@ -80,23 +78,38 @@ func (r *Ring) writeAt(ph uint32, name uint32, arg, ts int64, id uint64) {
 }
 
 // Begin records the start of a named duration slice.
-func (r *Ring) Begin(name NameID) { r.write(PhaseBegin, uint32(name), 0) }
+func (r *Ring) Begin(name NameID) {
+	if r != nil && enabled.Load() {
+		r.write(PhaseBegin, uint32(name), 0)
+	}
+}
 
 // End records the end of the innermost open slice with the same name.
-func (r *Ring) End(name NameID) { r.write(PhaseEnd, uint32(name), 0) }
+func (r *Ring) End(name NameID) {
+	if r != nil && enabled.Load() {
+		r.write(PhaseEnd, uint32(name), 0)
+	}
+}
 
 // Instant records a point event with a numeric payload.
-func (r *Ring) Instant(name NameID, arg int64) { r.write(PhaseInstant, uint32(name), arg) }
-
-// Complete records a self-contained slice ('X'): start is nanoseconds on the
-// tracer clock (from Tracer.Now), dur its length, id an optional span id
-// that cross-node merging uses to draw flow arrows. Unlike Begin/End pairs,
-// Complete events are safe to write from concurrent goroutines on one ring.
-func (r *Ring) Complete(name NameID, start, dur int64, id uint64) {
-	if r == nil || !enabled.Load() {
-		return
+func (r *Ring) Instant(name NameID, arg int64) {
+	if r != nil && enabled.Load() {
+		r.write(PhaseInstant, uint32(name), arg)
 	}
-	r.writeAt(PhaseComplete, uint32(name), dur, start, id)
+}
+
+// Complete records a self-contained slice ('X') from start, a Stamp from
+// Start, to now; id is an optional span id that cross-node merging uses to
+// draw flow arrows. A zero start records nothing. Unlike Begin/End pairs,
+// Complete events are safe to write from concurrent goroutines on one ring.
+func (r *Ring) Complete(name NameID, start Stamp, id uint64) {
+	if r != nil && start != 0 && enabled.Load() {
+		r.complete(name, start, id)
+	}
+}
+
+func (r *Ring) complete(name NameID, start Stamp, id uint64) {
+	r.writeAt(PhaseComplete, uint32(name), start.Elapsed(), int64(start-r.tr.start), id)
 }
 
 // TraceEvent is one stable event recovered from a ring snapshot. The JSON
@@ -151,7 +164,7 @@ type NameID uint32
 // Tracer owns the trace clock, the name table, and the set of rings. One
 // tracer per registry; tracks are keyed (pid, tid) = (locale, task slot).
 type Tracer struct {
-	start time.Time
+	start Stamp // the trace clock's zero
 
 	mu    sync.Mutex
 	names []string
@@ -162,7 +175,7 @@ type Tracer struct {
 
 func newTracer() *Tracer {
 	return &Tracer{
-		start: time.Now(),
+		start: now(),
 		ids:   make(map[string]NameID),
 		rings: make(map[[2]int]*Ring),
 	}
@@ -171,7 +184,7 @@ func newTracer() *Tracer {
 // Now returns nanoseconds since the tracer's epoch — the trace clock every
 // ring timestamp is relative to. Cluster merging exchanges Now() values over
 // RPC to estimate per-node clock offsets.
-func (t *Tracer) Now() int64 { return int64(time.Since(t.start)) }
+func (t *Tracer) Now() int64 { return int64(now() - t.start) }
 
 // Name interns s and returns its id. Call at construction time, not on the
 // hot path.
@@ -202,6 +215,15 @@ func (t *Tracer) Ring(pid, tid int) *Ring {
 	return r
 }
 
+// Track is Ring while observability is on and nil — the no-op ring —
+// while it is off: a span opened on it creates no ring in a disabled run.
+func (t *Tracer) Track(pid, tid int) *Ring {
+	if !enabled.Load() {
+		return nil
+	}
+	return t.Ring(pid, tid)
+}
+
 // Events returns the stable events across all rings, ordered by timestamp
 // (ties broken by write order). It is safe to call while writers run.
 func (t *Tracer) Events() []TraceEvent {
@@ -228,7 +250,7 @@ func (t *Tracer) reset() {
 	t.ids = make(map[string]NameID)
 	t.rings = make(map[[2]int]*Ring)
 	t.order = nil
-	t.start = time.Now()
+	t.start = now()
 }
 
 // sortEvents orders by timestamp, then track, then per-ring write index so

@@ -1,6 +1,7 @@
 package qsbr
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -268,13 +269,12 @@ func (d *Domain) reclaimOrphans(min uint64) int {
 // behalf, only wait for them; attempts bounds that wait. Teardown paths and
 // tests use it instead of hand-rolled checkpoint loops.
 func (d *Domain) Drain(p *Participant, attempts int) bool {
-	var b xsync.Backoff
 	for i := 0; i < attempts; i++ {
 		p.Checkpoint()
 		if d.Defers() == d.Reclaimed() {
 			return true
 		}
-		b.Wait()
+		runtime.Gosched()
 	}
 	p.Checkpoint()
 	return d.Defers() == d.Reclaimed()

@@ -1,6 +1,6 @@
 // Package xsync provides low-level synchronization building blocks shared by
 // every concurrent module in this repository: cache-line padded atomic
-// counters, bounded spin/backoff helpers, and striped counters for
+// counters, a seeded exponential retry backoff, and striped counters for
 // low-contention statistics.
 //
 // Nothing in this package is specific to RCU; it exists so that the

@@ -76,51 +76,6 @@ func TestPaddedInt64(t *testing.T) {
 	}
 }
 
-func TestBackoffWaitProgresses(t *testing.T) {
-	// Wait must never block forever and must escalate through its phases.
-	var b Backoff
-	for i := 0; i < spinLimit*8+10; i++ {
-		b.Wait()
-	}
-	if b.spins != spinLimit*8+10 {
-		t.Fatalf("spins = %d, want %d", b.spins, spinLimit*8+10)
-	}
-	b.Reset()
-	if b.spins != 0 {
-		t.Fatalf("Reset did not clear spins: %d", b.spins)
-	}
-}
-
-func TestSpinUntil(t *testing.T) {
-	var c PaddedUint64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		SpinUntil(func() bool { return c.Load() == 1 })
-	}()
-	time.Sleep(time.Millisecond)
-	c.Store(1)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("SpinUntil did not return after condition became true")
-	}
-}
-
-func TestSpinUntilTimeout(t *testing.T) {
-	start := time.Now()
-	ok := SpinUntilTimeout(func() bool { return false }, 10*time.Millisecond)
-	if ok {
-		t.Fatal("SpinUntilTimeout reported success for an impossible condition")
-	}
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Fatalf("returned after %v, before the timeout", elapsed)
-	}
-	if !SpinUntilTimeout(func() bool { return true }, time.Second) {
-		t.Fatal("SpinUntilTimeout failed for an immediate condition")
-	}
-}
-
 func TestStripedCounterRoundsUp(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16},
