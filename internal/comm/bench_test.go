@@ -34,6 +34,10 @@ var hotPaths = []hotPath{
 	{"PutRoundTrip", 9, putRoundTrip},
 	{"WindowGet/32", 8, windowGet(32)},
 	{"WindowGet/256", 8, windowGet(256)},
+	// One vectored GET frame, client and node together. The budget is per
+	// frame: 16 and 256 elements must cost the same.
+	{"GetV/16", 9, getV(16)},
+	{"GetV/256", 9, getV(256)},
 }
 
 // TestAllocBudgets fails when a hot-path body allocates more per op than its
@@ -181,6 +185,23 @@ func windowGet(depth int) func(testing.TB) (func(), int) {
 	}
 }
 
+// getV: one synchronous GETV of n 8-byte elements spread over a 4 KiB
+// segment, call deadline armed — the frame dist's ReadMany sends per node.
+func getV(n int) func(testing.TB) (func(), int) {
+	return func(tb testing.TB) (func(), int) {
+		_, c, seg := benchPair(tb)
+		at := make([]VecAddr, n)
+		for i := range at {
+			at[i] = VecAddr{Seg: seg, Off: uint64(i%512) * 8}
+		}
+		return func() {
+			if _, err := c.StartGetV(8, at, TraceCtx{}).Wait(); err != nil {
+				tb.Fatal(err)
+			}
+		}, 1
+	}
+}
+
 func BenchmarkFrameEncode(b *testing.B)       { benchBody(b, frameEncode) }
 func BenchmarkFrameEncodePut(b *testing.B)    { benchBody(b, frameEncodePut) }
 func BenchmarkFrameDecodePooled(b *testing.B) { benchBody(b, frameDecodePooled) }
@@ -191,6 +212,13 @@ func BenchmarkPutRoundTrip(b *testing.B)      { benchBody(b, putRoundTrip) }
 func BenchmarkWindowGet(b *testing.B) {
 	for _, depth := range []int{32, 256} {
 		b.Run(fmt.Sprint(depth), func(b *testing.B) { benchBody(b, windowGet(depth)) })
+	}
+}
+
+// BenchmarkGetV reports per frame.
+func BenchmarkGetV(b *testing.B) {
+	for _, n := range []int{16, 256} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) { benchBody(b, getV(n)) })
 	}
 }
 

@@ -52,8 +52,9 @@ type ClientConfig struct {
 // frames are appended to a per-connection write queue whose combining
 // flusher puts N pending frames on the wire with one scatter/gather writev,
 // so callers never serialize behind each other's syscalls. A single caller's
-// Start* window coalesces the same way: its frames are corked in the queue
-// until the first Wait (see Pending).
+// StartGet/StartPut window coalesces the same way: its frames are corked in
+// the queue until the first Wait (see Pending). StartGetV/StartPutV put a
+// whole window in one frame.
 type Client struct {
 	conn net.Conn
 	cfg  ClientConfig
@@ -223,19 +224,20 @@ func (c *Client) failAll(err error) {
 	c.wq.sever(err)
 }
 
-// Pending is one in-flight pipelined request issued by StartGet/StartPut.
+// Pending is one in-flight pipelined request issued by a Start* call.
 // Wait must be called exactly once; Pendings are not reusable.
 //
-// Delivery rule: Start* corks the frame in the client's write queue rather
-// than flushing it, so a window of N Start*s costs one writev. A started
-// frame is on the wire no later than the first Wait on ANY Pending of that
-// client that finds its result missing, or the moment the corked bytes reach
-// corkHighWater, whichever comes first; a concurrent caller's blocking
-// Get/Put/AM flushes it earlier. A caller that Start*s and never Waits may
-// therefore never send. The deadlines of one corked window share one clock
-// reading, taken when its first frame was corked. Whatever happens to the
-// connection — including Close before any flush — every Pending receives
-// exactly one result.
+// Delivery rule: StartGet/StartPut cork the frame in the client's write
+// queue rather than flushing it, so a window of N of them costs one writev.
+// A corked frame is on the wire no later than the first Wait on ANY Pending
+// of that client that finds its result missing, or the moment the corked
+// bytes reach corkHighWater, whichever comes first; a concurrent caller's
+// blocking Get/Put/AM flushes it earlier. A caller that corks and never
+// Waits may therefore never send. The deadlines of one corked window share
+// one clock reading, taken when its first frame was corked. StartGetV and
+// StartPutV carry a whole window in one frame, which is not corked but sent
+// at once. Whatever happens to the connection — including Close before any
+// flush — every Pending receives exactly one result.
 type Pending struct {
 	c        *Client
 	seq      uint64
@@ -405,12 +407,23 @@ func (c *Client) CallAMCtx(handler uint16, payload []byte, timeout time.Duration
 	return c.call(msgAM, frameSpec{handler: handler, data: payload, tc: tc}, timeout)
 }
 
-// StartGetCtx is StartGet carrying a trace context.
-func (c *Client) StartGetCtx(segment uint64, offset, length int, tc TraceCtx) *Pending {
-	return c.start(msgGet, frameSpec{seg: segment, off: uint64(offset), length: uint32(length), tc: tc}, c.cfg.CallTimeout, true)
+// StartGetV issues one vectored GET without waiting: Wait returns the
+// elemLen-byte elements at at, concatenated in order. Unlike StartGet it is
+// not corked — the frame goes out at once, or joins the flush already in
+// progress — so a caller that starts one frame per node has every node
+// working before its first Wait. The frame must stay under the node's frame
+// limit (16 MiB, the reply included): callers chunk large batches.
+func (c *Client) StartGetV(elemLen int, at []VecAddr, tc TraceCtx) *Pending {
+	return c.start(msgGetV, frameSpec{length: uint32(elemLen), vec: at, tc: tc}, c.cfg.CallTimeout, false)
 }
 
-// StartPutCtx is StartPut carrying a trace context.
-func (c *Client) StartPutCtx(segment uint64, offset int, data []byte, tc TraceCtx) *Pending {
-	return c.start(msgPut, frameSpec{seg: segment, off: uint64(offset), data: data, tc: tc}, c.cfg.CallTimeout, true)
+// StartPutV issues one vectored PUT without waiting: data holds len(at)
+// elements of elemLen bytes, the i-th stored at at[i]. The node applies the
+// frame whole or not at all. It is sent like StartGetV, and data is copied
+// into the frame before StartPutV returns.
+func (c *Client) StartPutV(elemLen int, at []VecAddr, data []byte, tc TraceCtx) *Pending {
+	if len(data) != len(at)*elemLen {
+		panic(fmt.Sprintf("comm: StartPutV with %d data bytes for %d elements of %d", len(data), len(at), elemLen))
+	}
+	return c.start(msgPutV, frameSpec{length: uint32(elemLen), vec: at, data: data, tc: tc}, c.cfg.CallTimeout, false)
 }

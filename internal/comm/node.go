@@ -388,12 +388,13 @@ func (n *Node) serveConn(conn net.Conn) {
 	// abandoned Put from clobbering a later acknowledged write issued on the
 	// same connection.
 	//
-	// Request bodies are pooled. Inline frames (hello/GET/PUT) are done with
-	// the body the moment the handler returns — GET replies alias the
-	// *segment*, not the request — so it recycles immediately. An AM reply
-	// may alias its request payload (echo-style handlers), so its body is
-	// handed to the reply's entry and recycles only after the reply is
-	// flushed.
+	// Request bodies are pooled. Inline frames (hello and the data plane)
+	// are done with the body the moment the handler returns — a GET reply
+	// aliases the *segment*, a GETV reply its own pooled buffer, never the
+	// request — so it recycles immediately, and a GETV's reply buffer rides
+	// the reply's entry until it is flushed. An AM reply may alias its
+	// request payload (echo-style handlers), so its body is handed to the
+	// reply's entry and recycles only after the reply is flushed.
 	// Requests arrive through a buffered reader, so a burst of pipelined
 	// frames costs one read syscall, and inline replies are corked
 	// (enqueueDeferred) while more complete input is already sitting in the
@@ -426,12 +427,12 @@ func (n *Node) serveConn(conn net.Conn) {
 			}
 			body.release()
 			_, _ = wq.enqueueDeferred(makeEntry(seq, nil, herr, frameRef{}), 0)
-		case msgGet, msgPut:
+		case msgGet, msgPut, msgGetV, msgPutV:
 			t0 := n.obs.spanStart(tc)
-			resp, herr := n.dispatchData(typ, payload, ident, gen)
+			resp, reply, herr := n.dispatchData(typ, payload, ident, gen)
 			ring = n.obs.dataSpan(ring, typ, t0, tc.SpanID)
 			body.release()
-			_, _ = wq.enqueueDeferred(makeEntry(seq, resp, herr, frameRef{}), 0)
+			_, _ = wq.enqueueDeferred(makeEntry(seq, resp, herr, reply), 0)
 		default:
 			reqs.Add(1)
 			go func(typ byte, seq uint64, payload []byte, body frameRef, tc TraceCtx) {
@@ -472,29 +473,54 @@ func (n *Node) registerHello(payload []byte) (ident, gen uint64, err error) {
 	return ident, gen, nil
 }
 
-// dispatchData serves one GET/PUT. Puts from a fenced connection — one whose
-// identity has registered a higher generation since — are rejected; the check
-// and the write happen under one lock so a Put can never land after a write
-// acknowledged on the successor connection. Gets are idempotent and are not
-// fenced: a stale read returns to a caller that already gave up on it.
+// dispatchData serves one data-plane frame: GET, PUT, GETV or PUTV. Puts
+// from a fenced connection — one whose identity has registered a higher
+// generation since — are rejected; the check and the write happen under one
+// lock so a Put can never land after a write acknowledged on the successor
+// connection. A PUTV is checked once for the whole frame, so a fenced one
+// lands no element. Gets are idempotent and are not fenced: a stale read
+// returns to a caller that already gave up on it.
 //
 // A GET's reply slice references the segment directly — no intermediate
-// copy — and is sent as its own iovec in the flushed batch. Bytes written
-// concurrently may tear within the reply, exactly as they already could
-// through LocalWrite and the owner's Segment slice, neither of which holds
-// more than the segment-table read lock.
-func (n *Node) dispatchData(typ byte, payload []byte, ident, gen uint64) ([]byte, error) {
-	if typ == msgGet {
+// copy — and is sent as its own iovec in the flushed batch. A GETV copies its
+// elements into one pooled buffer, returned as reply for the reply's entry
+// to release once it is flushed. Bytes written concurrently may tear within
+// either reply, exactly as they already could through LocalWrite and the
+// owner's Segment slice, neither of which holds more than the segment-table
+// read lock.
+func (n *Node) dispatchData(typ byte, payload []byte, ident, gen uint64) (resp []byte, reply frameRef, err error) {
+	switch typ {
+	case msgGet:
 		seg, off, length, err := decodeGet(payload)
 		if err != nil {
-			return nil, err
+			return nil, frameRef{}, err
 		}
-		return n.segSlice(seg, int(off), int(length))
+		resp, err = n.segSlice(seg, int(off), int(length))
+		return resp, frameRef{}, err
+	case msgGetV:
+		v, err := decodeVec(typ, payload)
+		if err != nil {
+			return nil, frameRef{}, err
+		}
+		return n.getV(v)
+	case msgPut:
+		seg, off, data, err := decodePut(payload)
+		if err != nil {
+			return nil, frameRef{}, err
+		}
+		return nil, frameRef{}, n.fenced(ident, gen, func() error { return n.LocalWrite(seg, int(off), data) })
+	default: // msgPutV
+		v, err := decodeVec(typ, payload)
+		if err != nil {
+			return nil, frameRef{}, err
+		}
+		return nil, frameRef{}, n.fenced(ident, gen, func() error { return n.putV(v) })
 	}
-	seg, off, data, err := decodePut(payload)
-	if err != nil {
-		return nil, err
-	}
+}
+
+// fenced runs write unless the connection's generation (ident, gen) has been
+// superseded, holding genMu across the check and the write.
+func (n *Node) fenced(ident, gen uint64, write func() error) error {
 	if ident != 0 {
 		n.genMu.Lock()
 		defer n.genMu.Unlock()
@@ -502,10 +528,67 @@ func (n *Node) dispatchData(typ byte, payload []byte, ident, gen uint64) ([]byte
 			if n.obs != nil && obs.On() {
 				n.obs.fenced.Inc()
 			}
-			return nil, fmt.Errorf("comm: put from superseded connection generation %d (current %d)", gen, cur)
+			return fmt.Errorf("comm: put from superseded connection generation %d (current %d)", gen, cur)
 		}
 	}
-	return nil, n.LocalWrite(seg, int(off), data)
+	return write()
+}
+
+// vecWindow returns the elemLen bytes at off in segment id, bounds-checked
+// in uint64 so that no wire offset can wrap. The caller holds segMu
+// read-locked.
+func (n *Node) vecWindow(op string, id, off uint64, elemLen int) ([]byte, error) {
+	seg, ok := n.segments[id]
+	if !ok {
+		return nil, fmt.Errorf("comm: %s of unknown segment %d", op, id)
+	}
+	if size := uint64(len(seg)); off > size || size-off < uint64(elemLen) {
+		return nil, fmt.Errorf("comm: %s [%d,+%d) out of segment bounds %d", op, off, elemLen, len(seg))
+	}
+	return seg[off : off+uint64(elemLen)], nil
+}
+
+// getV copies a GETV's elements, in request order, into one pooled buffer
+// under a single segment-table read lock. The buffer grows only by elements
+// that exist, so a malformed frame cannot make it larger than the segments
+// it names; on error it goes back to the pool.
+func (n *Node) getV(v vecPayload) ([]byte, frameRef, error) {
+	out := getFrame()
+	b := out.bytes()[:0]
+	n.segMu.RLock()
+	for i := 0; i < v.count(); i++ {
+		id, off, _ := v.at(i)
+		w, err := n.vecWindow("read", id, off, v.elemLen)
+		if err != nil {
+			n.segMu.RUnlock()
+			out.release()
+			return nil, frameRef{}, err
+		}
+		b = append(b, w...)
+	}
+	n.segMu.RUnlock()
+	out.set(b)
+	return b, out.handoff(), nil
+}
+
+// putV applies a PUTV under a single segment-table read lock: every entry is
+// checked before any is written, so a frame with one bad address writes
+// nothing.
+func (n *Node) putV(v vecPayload) error {
+	n.segMu.RLock()
+	defer n.segMu.RUnlock()
+	for i := 0; i < v.count(); i++ {
+		id, off, _ := v.at(i)
+		if _, err := n.vecWindow("write", id, off, v.elemLen); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < v.count(); i++ {
+		id, off, data := v.at(i)
+		w, _ := n.vecWindow("write", id, off, v.elemLen) // checked above
+		copy(w, data)
+	}
+	return nil
 }
 
 // readFrameDeadlinePooled reads one frame with the node's per-connection read
@@ -557,11 +640,11 @@ func (n *Node) readFrameDeadlinePooled(conn net.Conn, br *bufio.Reader) (typ byt
 }
 
 // dispatch serves the message types that run concurrently (active messages);
-// GET/PUT/hello are handled inline by serveConn. A traced AM records a
-// handler span on the node's shared AM ring (concurrent handler goroutines
-// write Complete events, which the ring tolerates), so every traced driver
-// RPC gets a node-side counterpart regardless of how its handler was
-// registered.
+// hello and the data plane are handled inline by serveConn. A traced AM
+// records a handler span on the node's shared AM ring (concurrent handler
+// goroutines write Complete events, which the ring tolerates), so every
+// traced driver RPC gets a node-side counterpart regardless of how its
+// handler was registered.
 func (n *Node) dispatch(typ byte, payload []byte, tc TraceCtx) ([]byte, error) {
 	switch typ {
 	case msgAM:

@@ -23,12 +23,16 @@ func opName(typ byte) string {
 		return "AM"
 	case msgHello:
 		return "HELLO"
+	case msgGetV:
+		return "GETV"
+	case msgPutV:
+		return "PUTV"
 	default:
 		return fmt.Sprintf("0x%02x", typ)
 	}
 }
 
-var reqTypes = []byte{msgGet, msgPut, msgAM, msgHello}
+var reqTypes = []byte{msgGet, msgPut, msgAM, msgHello, msgGetV, msgPutV}
 
 // Trace track namespaces for the comm layer. Client RPC spans ride one ring
 // per client, keyed by ClientConfig.TraceTrack; node-side data-plane handler
@@ -101,9 +105,9 @@ type nodeObs struct {
 	// Response-side coalescing views, shared across this node's connections.
 	flushFrames *obs.Histogram
 	flushBytes  *obs.Histogram
-	// Handler spans for traced requests: data-plane (GET/PUT) spans go to a
-	// per-connection ring (single writer: the serve loop), AM spans to a
-	// shared ring written by concurrent handler goroutines (Complete events
+	// Handler spans for traced requests: data-plane (GET/PUT/GETV/PUTV) spans
+	// go to a per-connection ring (single writer: the serve loop), AM spans
+	// to a shared ring written by concurrent handler goroutines (Complete events
 	// only, which the ring tolerates).
 	tr          *obs.Tracer
 	amRing      *obs.Ring
@@ -137,7 +141,7 @@ func (no *nodeObs) spanStart(tc TraceCtx) obs.Stamp {
 	return obs.Start()
 }
 
-// dataSpan records one traced GET/PUT handler span begun at t0 on ring, the
+// dataSpan records one traced data-plane handler span begun at t0 on ring, the
 // served connection's data-plane ring, and returns the ring: the first
 // traced frame creates it, numbered from connSeq, so the serve loop stays
 // its single writer. A zero t0 records nothing and creates no ring.

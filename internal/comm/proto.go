@@ -14,11 +14,18 @@ import (
 //
 // Requests carry a client-chosen sequence number; the matching response
 // echoes it, so a client may pipeline requests on one connection.
+//
+// The vectored types carry N same-length elements in one frame, N implied by
+// the payload length (N >= 1). A GETV's reply is the N elements concatenated
+// in request order; a PUTV's reply is empty. Both apply whole or not at all:
+// one bad entry fails the frame before any element is read or written.
 const (
 	msgGet   byte = 0x01 // payload: [8B segment][8B offset][4B length]
 	msgPut   byte = 0x02 // payload: [8B segment][8B offset][data]
 	msgAM    byte = 0x03 // payload: [2B handler][data]
 	msgHello byte = 0x04 // payload: [8B identity][8B generation] (write fencing)
+	msgGetV  byte = 0x05 // payload: [4B elemLen][N × ([8B segment][8B offset])]
+	msgPutV  byte = 0x06 // payload: [4B elemLen][N × ([8B segment][8B offset][elemLen B data])]
 	msgOK    byte = 0x80 // payload: response data
 	msgError byte = 0x81 // payload: UTF-8 error text
 )
@@ -77,16 +84,26 @@ func frameHeader(buf []byte, typ byte, seq uint64, payloadLen int) []byte {
 	return binary.BigEndian.AppendUint64(buf, seq)
 }
 
+// VecAddr names one element of a vectored GET or PUT: a segment and a byte
+// offset into it.
+type VecAddr struct {
+	Seg uint64
+	Off uint64
+}
+
 // frameSpec carries the fields of one request frame so the encoders can
 // build the wire bytes in a single pass straight into a pooled buffer — no
 // intermediate payload allocation, no second copy. Which fields are live
 // depends on the message type: GET uses seg/off/length, PUT seg/off/data,
-// AM handler/data, and anything else (hello, tests) sends data verbatim.
+// AM handler/data, GETV length (the element length) and vec, PUTV
+// length/vec/data (len(vec) elements back to back), and anything else
+// (hello, tests) sends data verbatim.
 type frameSpec struct {
 	seg, off uint64
 	length   uint32
 	handler  uint16
 	data     []byte
+	vec      []VecAddr
 	tc       TraceCtx // zero = untraced (wire bytes unchanged)
 }
 
@@ -144,6 +161,24 @@ func appendRequestFrame(buf []byte, typ byte, seq uint64, s frameSpec) []byte {
 		buf = requestHeader(buf, typ, seq, 2+len(s.data), s.tc)
 		buf = binary.BigEndian.AppendUint16(buf, s.handler)
 		return append(buf, s.data...)
+	case msgGetV:
+		buf = requestHeader(buf, typ, seq, 4+16*len(s.vec), s.tc)
+		buf = binary.BigEndian.AppendUint32(buf, s.length)
+		for _, a := range s.vec {
+			buf = binary.BigEndian.AppendUint64(buf, a.Seg)
+			buf = binary.BigEndian.AppendUint64(buf, a.Off)
+		}
+		return buf
+	case msgPutV:
+		n := int(s.length)
+		buf = requestHeader(buf, typ, seq, 4+(16+n)*len(s.vec), s.tc)
+		buf = binary.BigEndian.AppendUint32(buf, s.length)
+		for i, a := range s.vec {
+			buf = binary.BigEndian.AppendUint64(buf, a.Seg)
+			buf = binary.BigEndian.AppendUint64(buf, a.Off)
+			buf = append(buf, s.data[i*n:(i+1)*n]...)
+		}
+		return buf
 	default:
 		buf = requestHeader(buf, typ, seq, len(s.data), s.tc)
 		return append(buf, s.data...)
@@ -235,4 +270,46 @@ func decodeAM(p []byte) (handler uint16, data []byte, err error) {
 		return 0, nil, fmt.Errorf("comm: AM payload length %d, want >= 2", len(p))
 	}
 	return binary.BigEndian.Uint16(p), p[2:], nil
+}
+
+// vecPayload is a decoded GETV/PUTV payload: count entries of stride bytes,
+// each [8B segment][8B offset] followed, in a PUTV, by elemLen data bytes.
+type vecPayload struct {
+	elemLen int
+	stride  int
+	entries []byte
+}
+
+func (v vecPayload) count() int { return len(v.entries) / v.stride }
+
+// at returns entry i's address and, for a PUTV, its data.
+func (v vecPayload) at(i int) (seg, off uint64, data []byte) {
+	e := v.entries[i*v.stride : (i+1)*v.stride]
+	return binary.BigEndian.Uint64(e), binary.BigEndian.Uint64(e[8:]), e[16:]
+}
+
+// decodeVec validates a GETV or PUTV payload's shape. Addresses are checked
+// against the segments only when the node applies the frame. The element
+// length is bounded by maxFrame, and so is a GETV's reply (N × elemLen): a
+// reply the client's reader would refuse as a frame is refused here, before
+// anything is read.
+func decodeVec(typ byte, p []byte) (vecPayload, error) {
+	if len(p) < 4 {
+		return vecPayload{}, fmt.Errorf("comm: %s payload length %d, want >= 4", opName(typ), len(p))
+	}
+	elemLen := binary.BigEndian.Uint32(p)
+	if elemLen == 0 || elemLen > maxFrame {
+		return vecPayload{}, fmt.Errorf("comm: %s element length %d, want 1..%d", opName(typ), elemLen, maxFrame)
+	}
+	v := vecPayload{elemLen: int(elemLen), stride: 16, entries: p[4:]}
+	if typ == msgPutV {
+		v.stride += v.elemLen
+	}
+	if len(v.entries) == 0 || len(v.entries)%v.stride != 0 {
+		return vecPayload{}, fmt.Errorf("comm: %s entries of %d bytes in %d bytes", opName(typ), v.stride, len(v.entries))
+	}
+	if typ == msgGetV && uint64(v.count())*uint64(elemLen) > maxFrame-headerLen {
+		return vecPayload{}, fmt.Errorf("comm: GETV of %d × %d bytes exceeds the frame limit", v.count(), elemLen)
+	}
+	return v, nil
 }

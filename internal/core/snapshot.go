@@ -88,20 +88,3 @@ func (s *snapshot[T]) blockList() []*memory.Block[T] {
 	}
 	return out
 }
-
-// isPrefixOf reports whether s's addressable blocks form a prefix of t's —
-// the subsequence property in Lemma 6's proof sketch, which survives the
-// two-level split because grows only append blocks (to a boundary region or
-// to new regions) and never reorder them. Tests assert it across every
-// resize.
-func (s *snapshot[T]) isPrefixOf(t *snapshot[T]) bool {
-	if s.nBlocks > t.nBlocks {
-		return false
-	}
-	for bi := 0; bi < s.nBlocks; bi++ {
-		if s.blockAt(bi) != t.blockAt(bi) {
-			return false
-		}
-	}
-	return true
-}

@@ -135,6 +135,46 @@ func TestBulkUnderChaos(t *testing.T) {
 	}
 }
 
+// TestBulkStalledNodesOverlap: a send that blocks delays only its own node's
+// frames. Every client flush stalls for stall, and each of the two batches
+// spans four nodes: sent node after node they would take eight stalls, with
+// the nodes' sends overlapping about two. The bound sits halfway between.
+func TestBulkStalledNodesOverlap(t *testing.T) {
+	const nodes, stall = 4, 40 * time.Millisecond
+	inj := comm.NewInjector(comm.FaultPlan{Seed: 1, Stall: 65535, StallFor: stall})
+	d, _ := spawnChaosCluster(t, nodes, 8, Options{Faults: inj, CallTimeout: 10 * time.Second})
+	if err := d.Grow(nodes * 8); err != nil {
+		t.Fatalf("Grow: %v", err)
+	}
+	idxs := make([]int, d.Len())
+	vals := make([]int64, d.Len())
+	for i := range idxs {
+		idxs[i], vals[i] = i, int64(i)+1
+	}
+	before := inj.Count(comm.FaultStall)
+	start := time.Now()
+	if err := d.WriteMany(idxs, vals); err != nil {
+		t.Fatalf("WriteMany: %v", err)
+	}
+	got, err := d.ReadMany(idxs)
+	if err != nil {
+		t.Fatalf("ReadMany: %v", err)
+	}
+	took := time.Since(start)
+	for i := range got {
+		if got[i] != vals[i] {
+			t.Fatalf("element %d = %d, want %d", i, got[i], vals[i])
+		}
+	}
+	if stalls := inj.Count(comm.FaultStall) - before; stalls < 2*nodes {
+		t.Fatalf("%d stalls injected, want at least %d (one per node per batch)", stalls, 2*nodes)
+	}
+	t.Logf("two batches took %v", took)
+	if limit := (nodes + 1) * stall; took >= limit {
+		t.Fatalf("two batches over %d stalled nodes took %v, want < %v: the nodes' sends did not overlap", nodes, took, limit)
+	}
+}
+
 // TestBulkWindowIsOneFlushPerNode: the cork makes a node group's share of a
 // batch one request flush, however many elements it holds. Counted on the
 // client's own flush histogram (one sample per flushed batch).
@@ -180,4 +220,53 @@ func TestBulkWindowIsOneFlushPerNode(t *testing.T) {
 		}
 		return err
 	})
+}
+
+// TestBulkChunksPastVecChunk: a node's share larger than vecChunk goes out
+// as several frames, each vecChunk elements at most, and a shuffled batch
+// still lands every element at its own index.
+func TestBulkChunksPastVecChunk(t *testing.T) {
+	was := obs.On()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(was)
+
+	reg := obs.NewRegistry()
+	d, _ := spawnChaosCluster(t, 2, 64, Options{Obs: reg})
+	const n = 4*vecChunk + 64*3 // 2*vecChunk+192 elements per node: three frames each
+	if err := d.Grow(n); err != nil {
+		t.Fatalf("Grow: %v", err)
+	}
+	idxs := make([]int, n)
+	vals := make([]int64, n)
+	for i := range idxs {
+		idxs[i] = (i * 7919) % n // a permutation: the prime 7919 does not divide n
+		vals[i] = int64(idxs[i])*5 - 1
+	}
+	frames := func(op string) uint64 {
+		var sum uint64
+		for node := 0; node < 2; node++ {
+			sum += reg.Histogram(fmt.Sprintf("comm_rpc_ns{op=%q,peer=%q}", op, fmt.Sprintf("n%d", node))).Count()
+		}
+		return sum
+	}
+	if err := d.WriteMany(idxs, vals); err != nil {
+		t.Fatalf("WriteMany: %v", err)
+	}
+	got, err := d.ReadMany(idxs)
+	if err != nil {
+		t.Fatalf("ReadMany: %v", err)
+	}
+	for i := range got {
+		if got[i] != vals[i] {
+			t.Fatalf("element %d (idx %d) = %d, want %d", i, idxs[i], got[i], vals[i])
+		}
+	}
+	for i := 0; i < n; i += 97 {
+		if v, err := d.Read(i); err != nil || v != int64(i)*5-1 {
+			t.Fatalf("Read(%d) = %d, %v", i, v, err)
+		}
+	}
+	if p, g := frames("PUTV"), frames("GETV"); p != 6 || g != 6 {
+		t.Fatalf("%d PUTV and %d GETV frames, want 6 of each", p, g)
+	}
 }

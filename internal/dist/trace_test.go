@@ -41,8 +41,9 @@ func spawnTracedCluster(t *testing.T, n int, seed uint64) (*Driver, *obs.Registr
 	return d, reg
 }
 
-// tracedWorkload issues a fixed, sequential op sequence: a resize plus a
-// spread of reads and writes touching every node.
+// tracedWorkload issues a fixed, sequential op sequence: a resize, a spread
+// of reads and writes touching every node, and one bulk write and read of
+// the whole array.
 func tracedWorkload(t *testing.T, d *Driver) {
 	t.Helper()
 	if err := d.Grow(512); err != nil {
@@ -56,6 +57,53 @@ func tracedWorkload(t *testing.T, d *Driver) {
 		if v, err := d.Read(idx); err != nil || v != int64(i) {
 			t.Fatalf("read back idx %d: v=%d err=%v", idx, v, err)
 		}
+	}
+	idxs := make([]int, 512)
+	vals := make([]int64, 512)
+	for i := range idxs {
+		idxs[i], vals[i] = i, int64(3*i)
+	}
+	if err := d.WriteMany(idxs, vals); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.ReadMany(idxs); err != nil || got[511] != vals[511] {
+		t.Fatalf("ReadMany: %v", err)
+	}
+}
+
+// TestTracedBulkFrameSpans: a traced batch records one client RPC span per
+// (batch, node) frame, each with its own span id, and the nodes record the
+// handler spans that the merged trace links to them.
+func TestTracedBulkFrameSpans(t *testing.T) {
+	withObsOn(t)
+	d, reg := spawnTracedCluster(t, 3, 5)
+	tracedWorkload(t, d)
+	ids := map[string]map[uint64]bool{"rpc.PUTV": {}, "rpc.GETV": {}}
+	for _, e := range reg.Tracer().Events() {
+		if m := ids[e.Name]; m != nil && e.Phase == obs.PhaseComplete {
+			m[e.ID] = true
+		}
+	}
+	for name, m := range ids {
+		// 512 elements in blocks of 128 cover all three nodes.
+		if len(m) != 3 {
+			t.Errorf("%s spans with distinct ids: %d, want one per node (3)", name, len(m))
+		}
+	}
+	dumps, err := d.CollectTrace(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handled := 0
+	for _, dump := range dumps {
+		for _, e := range dump.Events {
+			if e.Name == "handle.GETV" || e.Name == "handle.PUTV" {
+				handled++
+			}
+		}
+	}
+	if handled != 6 {
+		t.Errorf("nodes recorded %d GETV/PUTV handler spans, want 6", handled)
 	}
 }
 
