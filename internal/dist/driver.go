@@ -3,6 +3,7 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -468,12 +469,16 @@ func (d *Driver) Grow(additional int) error {
 	}
 	gs.acquired()
 
+	// d.table is only ever replaced, never written in place, so holding its
+	// slice is an O(1) snapshot: it doubles as the abort's rollback table,
+	// and the new table is built outside the lock on a copy with room for
+	// the new blocks (the capacity clip makes the copy).
 	d.mu.Lock()
-	oldTable := append([]BlockRef(nil), d.table...)
-	table := append([]BlockRef(nil), d.table...)
+	oldTable := d.table
 	cursor := d.next
 	epoch := d.epoch + 1
 	d.mu.Unlock()
+	table := slices.Grow(oldTable[:len(oldTable):len(oldTable)], nBlocks)
 
 	var allocs []allocated
 	fail := func(stage string, cause error) error {

@@ -129,19 +129,23 @@ type walRecord struct {
 	Table  []BlockRef
 }
 
-func tableDigest(table []BlockRef) uint32 {
-	return crc32.ChecksumIEEE(encodeTable(table))
+// installDigest is an install's WAL digest: the CRC of its full table's
+// encoding, taken over the bytes the install frame already carries
+// (decodeInstall checked they are there) instead of re-encoding the table.
+// The encoding is canonical, so it equals the CRC of appendTable(nil, table).
+func installDigest(frame []byte, q installReq) uint32 {
+	return crc32.ChecksumIEEE(frame[installTableOff : installTableOff+tableSize(len(q.Table))])
 }
 
 func (rec walRecord) encode() []byte {
-	var w wbuf
+	w := wbuf{b: make([]byte, 0, 21+tableSize(len(rec.Table)))}
 	w.u8(rec.Kind)
 	w.u64(rec.Fence)
 	w.u64(rec.Epoch)
 	w.u32(rec.Step)
 	w.u32(rec.Total)
 	w.u32(rec.Digest)
-	w.b = append(w.b, encodeTable(rec.Table)...)
+	w.b = appendTable(w.b, rec.Table)
 	return w.b
 }
 
@@ -149,12 +153,9 @@ func decodeWALRecord(p []byte) (walRecord, error) {
 	r := rbuf{b: p}
 	rec := walRecord{Kind: r.u8(), Fence: r.u64(), Epoch: r.u64(),
 		Step: r.u32(), Total: r.u32(), Digest: r.u32()}
-	table, err := readTable(&r)
-	if err != nil {
-		return rec, err
-	}
-	rec.Table = table
-	return rec, r.err
+	var err error
+	rec.Table, err = readTable(&r)
+	return rec, err
 }
 
 // snapHeader is the first record of a snapshot file: the fencing milestones
@@ -433,8 +434,8 @@ func decodeSnapshot(payloads [][]byte, torn bool) (snapHeader, []BlockRef, map[u
 		return snapHeader{}, nil, nil, fmt.Errorf("dist: snapshot table record kind %d (%v)", k, r.err)
 	}
 	table, err := readTable(&r)
-	if err != nil || r.err != nil {
-		return snapHeader{}, nil, nil, fmt.Errorf("dist: snapshot table: %v / %v", err, r.err)
+	if err != nil {
+		return snapHeader{}, nil, nil, fmt.Errorf("dist: snapshot table: %w", err)
 	}
 	segs := make(map[uint64][]byte)
 	for _, p := range payloads[2 : len(payloads)-1] {
@@ -540,9 +541,9 @@ func (n *ArrayNode) Snapshot() (SnapshotInfo, error) {
 		st:        cutState,
 	}
 	payloads := [][]byte{header.encode()}
-	tw := wbuf{}
+	tw := wbuf{b: make([]byte, 0, 1+tableSize(len(table)))}
 	tw.u8(recSnapTable)
-	tw.b = append(tw.b, encodeTable(table)...)
+	tw.b = appendTable(tw.b, table)
 	payloads = append(payloads, tw.b)
 	blocks := uint32(0)
 	seen := make(map[uint64]bool)

@@ -456,25 +456,33 @@ func (n *ArrayNode) handleFreeBlock(payload []byte) ([]byte, error) {
 // never part of a table published on this node, so no reader can hold a
 // reference to it.
 func (n *ArrayNode) pruneAllocsLocked(fence uint64, table []BlockRef) {
-	var live map[uint64]bool
+	cand := map[uint64]struct{}{}
 	for id, e := range n.allocs {
 		if e.fence > fence {
 			continue
 		}
-		if live == nil {
-			live = make(map[uint64]bool, len(table))
-			for _, ref := range table {
-				if ref.Node == n.id {
-					live[ref.Seg] = true
-				}
-			}
-		}
-		if !live[e.seg] {
-			if n.srv.FreeSegment(e.seg) == nil {
-				n.localBlocks.Add(-1)
-			}
-		}
+		cand[e.seg] = struct{}{}
 		delete(n.allocs, id)
+	}
+	n.freeUnreferencedLocked(cand, table)
+}
+
+// freeUnreferencedLocked frees each candidate segment of this node that
+// table does not reference. The candidates are a resize's own blocks — a
+// few ledger rows, or what an aborted install added — so it scans table
+// once against that small set rather than building a table-sized one. The
+// scan runs from the end, where a grow's new blocks sit, and stops once
+// every candidate is found. Callers hold n.mu; cand is consumed.
+func (n *ArrayNode) freeUnreferencedLocked(cand map[uint64]struct{}, table []BlockRef) {
+	for i := len(table) - 1; i >= 0 && len(cand) > 0; i-- {
+		if table[i].Node == n.id {
+			delete(cand, table[i].Seg)
+		}
+	}
+	for seg := range cand {
+		if n.srv.FreeSegment(seg) == nil {
+			n.localBlocks.Add(-1)
+		}
 	}
 }
 
@@ -514,7 +522,7 @@ func (n *ArrayNode) handleInstall(payload []byte) ([]byte, error) {
 	n.mu.Lock()
 	hook := n.installHook
 	n.mu.Unlock()
-	digest := tableDigest(q.Table)
+	digest := installDigest(payload, q)
 	for k, rg := range steps {
 		rec := walRecord{
 			Kind: recWALInstall, Fence: q.Fence, Epoch: q.Epoch,
@@ -610,23 +618,23 @@ func (n *ArrayNode) handleAbort(payload []byte) ([]byte, error) {
 	n.trace.ring.Begin(n.trace.nAbort)
 	abortedTable := n.replaceTableLocked(proof, q.Table)
 	// Free the local blocks the aborted install had added — present in the
-	// table being rolled back but not in the rollback table. This runs after
-	// the rollback's Synchronize, so no local reader is still inside a
-	// section that saw the aborted table; the driver's own FreeBlock
-	// cleanup, if it arrives too, is idempotent against it.
-	live := make(map[uint64]bool, len(q.Table))
-	for _, ref := range q.Table {
+	// table being rolled back but not in the rollback table. Every entry of
+	// their common prefix is in the rollback table, so only the entries past
+	// it (the install's new blocks) are candidates. This runs after the
+	// rollback's Synchronize, so no local reader is still inside a section
+	// that saw the aborted table; the driver's own FreeBlock cleanup, if it
+	// arrives too, is idempotent against it.
+	shared := 0
+	for shared < len(abortedTable) && shared < len(q.Table) && abortedTable[shared] == q.Table[shared] {
+		shared++
+	}
+	added := map[uint64]struct{}{}
+	for _, ref := range abortedTable[shared:] {
 		if ref.Node == n.id {
-			live[ref.Seg] = true
+			added[ref.Seg] = struct{}{}
 		}
 	}
-	for _, ref := range abortedTable {
-		if ref.Node == n.id && !live[ref.Seg] {
-			if n.srv.FreeSegment(ref.Seg) == nil {
-				n.localBlocks.Add(-1)
-			}
-		}
-	}
+	n.freeUnreferencedLocked(added, q.Table)
 	n.pruneAllocsLocked(q.Fence, q.Table)
 	n.trace.ring.End(n.trace.nAbort)
 	n.aborts.Inc()

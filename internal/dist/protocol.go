@@ -3,6 +3,7 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"rcuarray/internal/region"
 )
@@ -149,35 +150,61 @@ func decodeConfigure(p []byte) (configureReq, error) {
 	return c, r.err
 }
 
-// encodeTable serializes a block table for Install.
-func encodeTable(table []BlockRef) []byte {
-	var w wbuf
-	w.u32(uint32(len(table)))
-	for _, b := range table {
-		w.u32(b.Node)
-		w.u64(b.Seg)
+// tableEntryBytes is the wire size of one BlockRef: a u32 node and a u64
+// segment.
+const tableEntryBytes = 12
+
+// tableSize is the encoded size of an n-entry table: a u32 count, then the
+// entries.
+func tableSize(n int) int { return 4 + tableEntryBytes*n }
+
+// appendTable appends a block table's encoding to b, growing b at most once.
+// The encoding is canonical (one byte string per table), which is what lets
+// an install's WAL digest be taken over the frame's own bytes.
+func appendTable(b []byte, table []BlockRef) []byte {
+	off, size := len(b), tableSize(len(table))
+	b = slices.Grow(b, size)[:off+size]
+	binary.BigEndian.PutUint32(b[off:], uint32(len(table)))
+	e := b[off+4:]
+	for i, ref := range table {
+		binary.BigEndian.PutUint32(e[i*tableEntryBytes:], ref.Node)
+		binary.BigEndian.PutUint64(e[i*tableEntryBytes+4:], ref.Seg)
 	}
-	return w.b
+	return b
 }
+
+// encodeTable serializes a block table on its own (the amReadTable reply).
+func encodeTable(table []BlockRef) []byte { return appendTable(nil, table) }
 
 func decodeTable(p []byte) ([]BlockRef, error) {
 	r := rbuf{b: p}
-	table, err := readTable(&r)
-	if err != nil {
-		return nil, err
-	}
-	return table, r.err
+	return readTable(&r)
 }
 
+// readTable decodes a table in one pass. The entries must all be present
+// before anything is allocated, so a frame that claims more entries than it
+// carries fails without allocating for the claim.
 func readTable(r *rbuf) ([]BlockRef, error) {
 	n := int(r.u32())
+	if r.err != nil {
+		return nil, r.err
+	}
 	if n > 1<<24 {
 		return nil, fmt.Errorf("dist: absurd table size %d", n)
 	}
-	table := make([]BlockRef, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		table = append(table, BlockRef{Node: r.u32(), Seg: r.u64()})
+	if len(r.b)-r.off < tableEntryBytes*n {
+		r.fail("table")
+		return nil, r.err
 	}
+	e := r.b[r.off : r.off+tableEntryBytes*n]
+	table := make([]BlockRef, n)
+	for i := range table {
+		table[i] = BlockRef{
+			Node: binary.BigEndian.Uint32(e[i*tableEntryBytes:]),
+			Seg:  binary.BigEndian.Uint64(e[i*tableEntryBytes+4:]),
+		}
+	}
+	r.off += len(e)
 	return table, nil
 }
 
@@ -202,11 +229,15 @@ type installReq struct {
 	Regions []region.Step
 }
 
+// installTableOff is where the table starts in an install frame, after
+// fence and epoch.
+const installTableOff = 16
+
 func (q installReq) encode() []byte {
-	var w wbuf
+	w := wbuf{b: make([]byte, 0, installTableOff+tableSize(len(q.Table))+4+8*len(q.Regions))}
 	w.u64(q.Fence)
 	w.u64(q.Epoch)
-	w.b = append(w.b, encodeTable(q.Table)...)
+	w.b = appendTable(w.b, q.Table)
 	w.u32(uint32(len(q.Regions)))
 	for _, s := range q.Regions {
 		w.u32(uint32(s.Lo))
@@ -218,11 +249,10 @@ func (q installReq) encode() []byte {
 func decodeInstall(p []byte) (installReq, error) {
 	r := rbuf{b: p}
 	q := installReq{Fence: r.u64(), Epoch: r.u64()}
-	table, err := readTable(&r)
-	if err != nil {
+	var err error
+	if q.Table, err = readTable(&r); err != nil {
 		return q, err
 	}
-	q.Table = table
 	nr := int(r.u32())
 	if r.err != nil {
 		return q, r.err
@@ -230,10 +260,17 @@ func decodeInstall(p []byte) (installReq, error) {
 	if nr > 1<<24 {
 		return q, fmt.Errorf("dist: absurd region count %d", nr)
 	}
-	for i := 0; i < nr && r.err == nil; i++ {
-		q.Regions = append(q.Regions, region.Step{Lo: int(r.u32()), Hi: int(r.u32())})
+	if len(r.b)-r.off < 8*nr {
+		r.fail("regions")
+		return q, r.err
 	}
-	return q, r.err
+	if nr > 0 {
+		q.Regions = make([]region.Step, nr)
+	}
+	for i := range q.Regions {
+		q.Regions[i] = region.Step{Lo: int(r.u32()), Hi: int(r.u32())}
+	}
+	return q, nil
 }
 
 // encodeU64 / decodeU64 cover the single-field payloads (lease ttl,
@@ -303,13 +340,13 @@ type recoverState struct {
 }
 
 func (s recoverState) encode() []byte {
-	var w wbuf
+	w := wbuf{b: make([]byte, 0, 40+tableSize(len(s.Table)))}
 	w.u64(s.MaxFence)
 	w.u64(s.AppliedFence)
 	w.u64(s.AppliedEpoch)
 	w.u64(s.AbortedFence)
 	w.u64(s.AbortedEpoch)
-	w.b = append(w.b, encodeTable(s.Table)...)
+	w.b = appendTable(w.b, s.Table)
 	return w.b
 }
 
@@ -322,12 +359,9 @@ func decodeRecoverState(p []byte) (recoverState, error) {
 		AbortedFence: r.u64(),
 		AbortedEpoch: r.u64(),
 	}
-	table, err := readTable(&r)
-	if err != nil {
-		return s, err
-	}
-	s.Table = table
-	return s, r.err
+	var err error
+	s.Table, err = readTable(&r)
+	return s, err
 }
 
 // SnapshotInfo reports one durable snapshot: the fencing milestone it was cut
