@@ -4,18 +4,15 @@
 #   ./ci.sh            tier-1   (gofmt -l over tracked .go files outside
 #                                testdata/ that exist on disk, failing with
 #                                the file list when it is non-empty and with a
-#                                ci: line when gofmt errors; build + vet +
-#                                rcuvet + full test suite, then vet + tests
-#                                of the nested benchmark/ module; no
-#                                race detector; go vet's copylocks carries
-#                                the ebr.Guard copy discipline through its
-#                                noCopy sentinel; rcuvet is the in-repo static
-#                                analysis suite of three syntactic passes,
-#                                guardpair, seedpure and ignorecheck — see
-#                                DESIGN.md "Static analysis". rcuvet runs
-#                                with -time so the
-#                                per-analyzer wall cost stays visible, and a
-#                                failure names the offending analyzer(s))
+#                                ci: line when gofmt errors; build + vet + full
+#                                test suite, then vet + tests of the nested
+#                                benchmark/ module; no race detector; go vet's
+#                                copylocks carries the ebr.Guard copy
+#                                discipline through its noCopy sentinel; the
+#                                guard, seed-replay, atomic, clock and retire
+#                                rules are go/parser tests in source_test.go
+#                                at the module root — see DESIGN.md "Source
+#                                checks")
 #   ./ci.sh race       tier-1.5 (adds go test -race over the -short subset:
 #                                every package's tests with the long stress
 #                                loops trimmed, including the lincheck
@@ -84,21 +81,6 @@ tier1() {
 	go build ./...
 	echo '--- tier-1: go vet ./... (copylocks carries the ebr.Guard copy discipline)'
 	go vet ./...
-	echo '--- tier-1: rcuvet -time ./... (three syntactic passes: guardpair, seedpure, ignorecheck)'
-	if ! go build -o "$TMP/rcuvet.ci" ./cmd/rcuvet; then
-		echo 'ci: cmd/rcuvet failed to build; the static-analysis gate cannot run.' >&2
-		echo 'ci: fix the build (go build ./cmd/rcuvet) before merging.' >&2
-		exit 1
-	fi
-	# No pipefail under `set -eu`, so capture to a file instead of piping:
-	# a pipe into tee would mask rcuvet's exit status.
-	if ! "$TMP/rcuvet.ci" -time ./... >"$TMP/rcuvet.ci.out"; then
-		cat "$TMP/rcuvet.ci.out"
-		offenders=$(sed -n 's/.*\[\([a-z]*\)\].*/\1/p' "$TMP/rcuvet.ci.out" | sort -u | tr '\n' ' ')
-		echo "ci: rcuvet failed — offending analyzer(s): ${offenders:-unknown}" >&2
-		echo 'ci: reproduce one in isolation with: go run ./cmd/rcuvet -only <name> ./...' >&2
-		exit 1
-	fi
 	echo '--- tier-1: go test ./...'
 	go test ./...
 	# benchmark/ is its own module (replace rcuarray => ../) that imports

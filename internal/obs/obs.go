@@ -23,9 +23,9 @@
 //     full string as the identity; exporters split base name from labels.
 //
 // obs reads the wall clock (time.Now) and is therefore explicitly OUTSIDE
-// the seed-replayable deterministic domain enforced by the seedpure
-// analyzer; deterministic-domain files must not import it (rcuvet flags
-// the import).
+// the seed-replayable deterministic domain; deterministic-domain files must
+// not import it (the root package's TestDeterministicDomains fails on the
+// import).
 package obs
 
 import (

@@ -62,12 +62,14 @@ func TestFloat64Range(t *testing.T) {
 }
 
 func TestPatternString(t *testing.T) {
-	//rcuvet:ignore order-independent table test: each entry asserts in isolation, no cross-iteration state
-	for p, want := range map[Pattern]string{
-		Random: "random", Sequential: "sequential", Zipfian: "zipfian", Pattern(9): "Pattern(9)",
+	for _, c := range []struct {
+		p    Pattern
+		want string
+	}{
+		{Random, "random"}, {Sequential, "sequential"}, {Zipfian, "zipfian"}, {Pattern(9), "Pattern(9)"},
 	} {
-		if got := p.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(p), got, want)
+		if got := c.p.String(); got != c.want {
+			t.Errorf("%d.String() = %q, want %q", int(c.p), got, c.want)
 		}
 	}
 }
