@@ -18,6 +18,9 @@
 #                                loops trimmed, including the lincheck
 #                                suites, under the race detector; then the
 #                                EBR park/wake tests, full length, 20 times
+#                                under the race detector; then the element
+#                                tearing tests — remote and local stores
+#                                against reads of one element — 20 times
 #                                under the race detector)
 #   ./ci.sh obs        observability tier: one traced pass of the benchmark
 #                                (benchmark/run.sh --workload index_ebr
@@ -97,6 +100,8 @@ tier15() {
 	go test -race -short ./...
 	echo "--- tier-1.5: go test -race -count=20 -run 'ParkWake|PinFirstTick' ./internal/ebr/"
 	go test -race -count=20 -run 'ParkWake|PinFirstTick' ./internal/ebr/
+	echo "--- tier-1.5: go test -race -count=20 -run 'DoesNotRace' ./internal/comm/ ./internal/dist/"
+	go test -race -count=20 -run 'DoesNotRace' ./internal/comm/ ./internal/dist/
 }
 
 obs() {

@@ -28,8 +28,8 @@ func FuzzPipelinedTornStream(f *testing.F) {
 			t.Skip() // keep streams small: every split point is exercised
 		}
 		// Build a pipelined stream mixing the frame kinds the fast path
-		// emits: GET and PUT requests via the scratch encoder, plus a raw
-		// response-style frame.
+		// emits: one-element GETV and PUTV requests (a point Get and Put)
+		// via the scratch encoder, plus a raw response-style frame.
 		var stream []byte
 		type want struct {
 			typ     byte
@@ -44,11 +44,12 @@ func FuzzPipelinedTornStream(f *testing.F) {
 			// results to build the pipelined stream.
 			switch i % 3 {
 			case 0:
-				stream = append(stream, appendRequestFrame(nil, msgGet, s, frameSpec{seg: s, off: 7, length: 32})...)
-				wants = append(wants, want{msgGet, s, encodeGet(s, 7, 32)})
+				stream = append(stream, appendRequestFrame(nil, msgGetV, s, frameSpec{length: 32, vec: []VecAddr{{s, 7}}})...)
+				wants = append(wants, want{msgGetV, s, vecPayloadOf(32, vecEntry(s, 7))})
 			case 1:
-				stream = append(stream, appendRequestFrame(nil, msgPut, s, frameSpec{seg: s, off: 9, data: payload})...)
-				wants = append(wants, want{msgPut, s, encodePut(s, 9, payload)})
+				spec := frameSpec{length: uint32(len(payload)), vec: []VecAddr{{s, 9}}, data: payload}
+				stream = append(stream, appendRequestFrame(nil, msgPutV, s, spec)...)
+				wants = append(wants, want{msgPutV, s, vecPayloadOf(spec.length, vecEntry(s, 9, payload...))})
 			default:
 				stream = append(stream, appendRequestFrame(nil, msgOK, s, frameSpec{data: payload})...)
 				wants = append(wants, want{msgOK, s, payload})
@@ -205,7 +206,7 @@ func TestWriteQueueCorkedBatch(t *testing.T) {
 		got <- n
 	}()
 	for i := 0; i < frames; i++ {
-		if _, err := q.enqueueDeferred(okEntry(uint64(i), frameRef{}), 0); err != nil {
+		if err := q.enqueueDeferred(okEntry(uint64(i), frameRef{})); err != nil {
 			t.Fatalf("enqueueDeferred: %v", err)
 		}
 	}
@@ -240,7 +241,7 @@ func TestWriteQueueSeverReleasesEntries(t *testing.T) {
 	var bs bodies
 	entry := func() wqEntry { return okEntry(1, bs.next()) }
 	for i := 0; i < 3; i++ {
-		if _, err := q.enqueueDeferred(entry(), 0); err != nil {
+		if err := q.enqueueDeferred(entry()); err != nil {
 			t.Fatalf("enqueueDeferred: %v", err)
 		}
 	}
@@ -254,7 +255,7 @@ func TestWriteQueueSeverReleasesEntries(t *testing.T) {
 	if n := bs.released(); n != 4 {
 		t.Fatalf("rejected enqueue released %d entries total, want 4", n)
 	}
-	if _, err := q.enqueueDeferred(entry(), 0); err == nil {
+	if err := q.enqueueDeferred(entry()); err == nil {
 		t.Fatal("enqueueDeferred on severed queue succeeded")
 	}
 	if n := bs.released(); n != 5 {
@@ -273,7 +274,7 @@ func TestWriteQueueFlushErrorSevers(t *testing.T) {
 	var bs bodies
 	entry := func() wqEntry { return okEntry(1, bs.next()) }
 	for i := 0; i < 3; i++ {
-		if _, err := q.enqueueDeferred(entry(), 0); err != nil {
+		if err := q.enqueueDeferred(entry()); err != nil {
 			t.Fatalf("enqueueDeferred: %v", err)
 		}
 	}
@@ -298,10 +299,9 @@ func TestWriteQueueFlushErrorSevers(t *testing.T) {
 // last acknowledged and the last attempted write for that slot (a failed
 // write is in an unknown state — it may or may not have applied).
 //
-// Odd-numbered goroutines issue the same Put-then-Get as a corked Start*
-// window instead of two blocking calls, so corked frames meet the stalls and
-// resets too — flushed by their own first Wait or by whichever even-numbered
-// neighbour's blocking call gets there first — under the same invariant.
+// Odd-numbered goroutines issue the same Put-then-Get as a pipelined
+// StartPutV+StartGetV pair instead of two blocking calls, so two frames in
+// flight at once meet the stalls and resets too, under the same invariant.
 //
 // The redial carries a bumped generation, as dist does. Without fencing the
 // invariant is not even true: a severed connection's unprocessed frames sit
@@ -385,9 +385,10 @@ func TestChaosFlusherHammer(t *testing.T) {
 						got, gerr = c.Get(seg, off, 8)
 					}
 				} else {
-					// One window: the Get rides behind the Put in wire order.
-					// Both Pendings are always collected.
-					pp, pg := c.StartPut(seg, off, val[:]), c.StartGet(seg, off, 8)
+					// The Get rides behind the Put in wire order. Both
+					// Pendings are always collected.
+					at := []VecAddr{{seg, uint64(off)}}
+					pp, pg := c.StartPutV(8, at, val[:], TraceCtx{}), c.StartGetV(8, at, TraceCtx{})
 					_, perr = pp.Wait()
 					got, gerr = pg.Wait()
 				}

@@ -28,8 +28,8 @@ var hotPaths = []hotPath{
 	// The 4-byte prefix buffer escapes into the io.ReadFull interface call;
 	// the frame body itself comes from and returns to the pool.
 	{"FrameDecodePooled", 1, frameDecodePooled},
-	// The whole client+node round trip: frame encode, pooled decode,
-	// zero-copy reply, pooled wait timer.
+	// The whole client+node round trip of a point op, a one-element GETV or
+	// PUTV: frame encode, pooled decode, pooled reply, pooled wait timer.
 	{"GetRoundTrip", 9, getRoundTrip},
 	{"PutRoundTrip", 9, putRoundTrip},
 	{"WindowGet/32", 8, windowGet(32)},
@@ -71,24 +71,28 @@ func benchBody(b *testing.B, setup func(testing.TB) (func(), int)) {
 	}
 }
 
-// frameEncode: one GET request frame into a reused scratch buffer.
+// frameEncode: one point Get's request frame, a one-element GETV, into a
+// reused scratch buffer.
 func frameEncode(testing.TB) (func(), int) {
 	var buf []byte
 	var seq uint64
+	at := []VecAddr{{7, 4096}}
 	return func() {
 		seq++
-		buf = appendRequestFrame(buf[:0], msgGet, seq, frameSpec{seg: 7, off: 4096, length: 64})
+		buf = appendRequestFrame(buf[:0], msgGetV, seq, frameSpec{length: 64, vec: at})
 	}, 1
 }
 
-// frameEncodePut: a PUT frame with a 64-byte payload, reused buffer.
+// frameEncodePut: one point Put's request frame, a one-element PUTV with a
+// 64-byte element, into a reused buffer.
 func frameEncodePut(testing.TB) (func(), int) {
 	var buf []byte
 	var seq uint64
+	at := []VecAddr{{7, 4096}}
 	data := bytes.Repeat([]byte{0xAB}, 64)
 	return func() {
 		seq++
-		buf = appendRequestFrame(buf[:0], msgPut, seq, frameSpec{seg: 7, off: 4096, data: data})
+		buf = appendRequestFrame(buf[:0], msgPutV, seq, frameSpec{length: 64, vec: at, data: data})
 	}, 1
 }
 
@@ -107,9 +111,9 @@ func (r *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// frameDecodePooled: the node's pooled decode of a PUT frame.
+// frameDecodePooled: the node's pooled decode of a point Put's frame.
 func frameDecodePooled(tb testing.TB) (func(), int) {
-	frameBytes := appendRequestFrame(nil, msgPut, 42, frameSpec{seg: 7, off: 64, data: bytes.Repeat([]byte{1}, 64)})
+	frameBytes := appendRequestFrame(nil, msgPutV, 42, frameSpec{length: 64, vec: []VecAddr{{7, 64}}, data: bytes.Repeat([]byte{1}, 64)})
 	r := &loopReader{data: frameBytes}
 	return func() {
 		var lenBuf [4]byte
@@ -164,17 +168,20 @@ func putRoundTrip(tb testing.TB) (func(), int) {
 	}, 1
 }
 
-// windowGet: a window of depth GETs started, then collected, on one
-// connection — the shape dist's ReadMany drives (a 256-element batch over two
-// nodes is two windows of 128). The client corks the window, so each is one
-// request writev and one reply writev.
+// windowGet: a window of depth one-element GETVs started, then collected,
+// on one connection. Each frame is sent as it starts; the node corks the
+// replies to whatever burst it reads in one go.
 func windowGet(depth int) func(testing.TB) (func(), int) {
 	return func(tb testing.TB) (func(), int) {
 		_, c, seg := benchPair(tb)
 		pend := make([]*Pending, depth)
+		at := make([]VecAddr, depth)
+		for j := range at {
+			at[j] = VecAddr{seg, uint64(j%64) * 64}
+		}
 		return func() {
 			for j := range pend {
-				pend[j] = c.StartGet(seg, (j%64)*64, 64)
+				pend[j] = c.StartGetV(64, at[j:j+1], TraceCtx{})
 			}
 			for _, p := range pend {
 				if _, err := p.Wait(); err != nil {
@@ -208,7 +215,7 @@ func BenchmarkFrameDecodePooled(b *testing.B) { benchBody(b, frameDecodePooled) 
 func BenchmarkGetRoundTrip(b *testing.B)      { benchBody(b, getRoundTrip) }
 func BenchmarkPutRoundTrip(b *testing.B)      { benchBody(b, putRoundTrip) }
 
-// BenchmarkWindowGet reports per GET.
+// BenchmarkWindowGet reports per one-element GETV.
 func BenchmarkWindowGet(b *testing.B) {
 	for _, depth := range []int{32, 256} {
 		b.Run(fmt.Sprint(depth), func(b *testing.B) { benchBody(b, windowGet(depth)) })
@@ -229,9 +236,10 @@ func BenchmarkGetV(b *testing.B) {
 func BenchmarkFlushAfterBurst(b *testing.B) {
 	_, c, seg := benchPair(b)
 	var v [8]byte
+	at := []VecAddr{{seg, 0}}
 	pend := make([]*Pending, 16384)
 	for i := range pend {
-		pend[i] = c.StartPut(seg, 0, v[:])
+		pend[i] = c.StartPutV(8, at, v[:], TraceCtx{})
 	}
 	for _, p := range pend {
 		if _, err := p.Wait(); err != nil {

@@ -51,10 +51,9 @@ type ClientConfig struct {
 // and matched to responses by sequence number. Concurrent requests coalesce:
 // frames are appended to a per-connection write queue whose combining
 // flusher puts N pending frames on the wire with one scatter/gather writev,
-// so callers never serialize behind each other's syscalls. A single caller's
-// StartGet/StartPut window coalesces the same way: its frames are corked in
-// the queue until the first Wait (see Pending). StartGetV/StartPutV put a
-// whole window in one frame.
+// so callers never serialize behind each other's syscalls. Every request is
+// sent at once; a single caller batches by putting many elements in one
+// StartGetV/StartPutV frame, and a point Get or Put is the one-element frame.
 type Client struct {
 	conn net.Conn
 	cfg  ClientConfig
@@ -145,7 +144,7 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 		if timeout == 0 {
 			timeout = cfg.DialTimeout
 		}
-		if _, err := c.start(msgHello, frameSpec{data: p[:]}, timeout, false).wait(); err != nil {
+		if _, err := c.start(msgHello, frameSpec{data: p[:]}, timeout).wait(); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("comm: hello %s: %w", addr, err)
 		}
@@ -154,10 +153,10 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 }
 
 // Close tears the connection down; in-flight requests fail, including
-// Start*ed ones whose frames were still corked: the read loop's failAll
-// delivers each registered Pending its one result and severs the write queue,
-// which releases the unsent frames. Close is idempotent: every call returns
-// the first call's result.
+// Start*ed ones whose frames were still queued behind a flush: the read
+// loop's failAll delivers each registered Pending its one result and severs
+// the write queue, which releases the unsent frames. Close is idempotent:
+// every call returns the first call's result.
 func (c *Client) Close() error {
 	c.closeOnce.Do(func() {
 		c.closeRes = c.conn.Close()
@@ -227,38 +226,30 @@ func (c *Client) failAll(err error) {
 // Pending is one in-flight pipelined request issued by a Start* call.
 // Wait must be called exactly once; Pendings are not reusable.
 //
-// Delivery rule: StartGet/StartPut cork the frame in the client's write
-// queue rather than flushing it, so a window of N of them costs one writev.
-// A corked frame is on the wire no later than the first Wait on ANY Pending
-// of that client that finds its result missing, or the moment the corked
-// bytes reach corkHighWater, whichever comes first; a concurrent caller's
-// blocking Get/Put/AM flushes it earlier. A caller that corks and never
-// Waits may therefore never send. The deadlines of one corked window share
-// one clock reading, taken when its first frame was corked. StartGetV and
-// StartPutV carry a whole window in one frame, which is not corked but sent
-// at once. Whatever happens to the connection — including Close before any
-// flush — every Pending receives exactly one result.
+// Delivery rule: a Start* call hands its frame to the write queue at once, so
+// it is on the wire when Start* returns or joins the flush already in
+// progress; no Wait is needed to send it. Whatever happens to the connection
+// — including Close before that flush — every Pending receives exactly one
+// result.
 type Pending struct {
 	c        *Client
 	seq      uint64
 	ch       chan result
 	deadline time.Time // zero = wait forever
 	typ      byte
-	corked   bool      // the frame may still be unsent: Wait must kick the queue
 	started  obs.Stamp // zero when the call is unobserved
 	spanID   uint64    // trace span carried by the request (0 = untraced)
 }
 
-// start registers a request, encodes its frame, and hands it to the send
-// path: flushed at once for the blocking calls, corked for the Start* calls.
-// The returned Pending's channel is guaranteed to eventually receive exactly
-// one result: from the read loop, from failAll when the connection dies, or
-// directly here when the request cannot be sent at all.
-func (c *Client) start(typ byte, s frameSpec, timeout time.Duration, cork bool) *Pending {
+// start registers a request, encodes its frame, and hands it to the write
+// queue. The returned Pending's channel is guaranteed to eventually receive
+// exactly one result: from the read loop, from failAll when the connection
+// dies, or directly here when the request cannot be sent at all.
+func (c *Client) start(typ byte, s frameSpec, timeout time.Duration) *Pending {
 	seq := c.nextSeq.Add(1)
 	ch := make(chan result, 1)
 	p := &Pending{c: c, seq: seq, ch: ch, typ: typ, spanID: s.tc.SpanID}
-	if timeout > 0 && !cork {
+	if timeout > 0 {
 		p.deadline = time.Now().Add(timeout)
 	}
 	if c.obs != nil {
@@ -277,14 +268,7 @@ func (c *Client) start(typ byte, s frameSpec, timeout time.Duration, cork bool) 
 
 	buf := getFrame()
 	buf.set(appendRequestFrame(buf.bytes()[:0], typ, seq, s))
-	var err error
-	if cork {
-		p.corked = true
-		p.deadline, err = c.wq.enqueueDeferred(wqEntry{buf: buf.handoff()}, timeout)
-	} else {
-		err = c.wq.enqueue(wqEntry{buf: buf.handoff(), deadline: p.deadline})
-	}
-	if err != nil {
+	if err := c.wq.enqueue(wqEntry{buf: buf.handoff(), deadline: p.deadline}); err != nil {
 		// The queue was already severed; fail this request now (unless the
 		// read loop beat us to it).
 		if _, ok := c.takePending(seq); ok {
@@ -296,16 +280,12 @@ func (c *Client) start(typ byte, s frameSpec, timeout time.Duration, cork bool) 
 
 // wait blocks until the response arrives or the request's deadline passes.
 // A result already delivered — the usual case for all but the first Wait of a
-// window — returns without touching the queue or a timer; otherwise a corked
-// frame is flushed before blocking.
+// window — returns without arming a timer.
 func (p *Pending) wait() ([]byte, error) {
 	select {
 	case r := <-p.ch:
 		return r.payload, r.err
 	default:
-	}
-	if p.corked {
-		p.c.wq.kick()
 	}
 	var deadline <-chan time.Time
 	var timer *time.Timer
@@ -344,18 +324,19 @@ func (p *Pending) Wait() ([]byte, error) {
 // (0 = wait forever), recording per-(op,peer) latency when observability is
 // wired and on: one Stamp, taken by start, times the whole call.
 func (c *Client) call(typ byte, s frameSpec, timeout time.Duration) ([]byte, error) {
-	return c.start(typ, s, timeout, false).Wait()
+	return c.start(typ, s, timeout).Wait()
 }
 
-// Get reads length bytes at offset from the remote segment.
+// Get reads length bytes at offset from the remote segment: a one-element
+// GETV, so length must be positive.
 func (c *Client) Get(segment uint64, offset, length int) ([]byte, error) {
-	return c.call(msgGet, frameSpec{seg: segment, off: uint64(offset), length: uint32(length)}, c.cfg.CallTimeout)
+	return c.GetCtx(segment, offset, length, TraceCtx{})
 }
 
-// Put writes data at offset into the remote segment.
+// Put writes data at offset into the remote segment: a one-element PUTV, so
+// data must not be empty.
 func (c *Client) Put(segment uint64, offset int, data []byte) error {
-	_, err := c.call(msgPut, frameSpec{seg: segment, off: uint64(offset), data: data}, c.cfg.CallTimeout)
-	return err
+	return c.PutCtx(segment, offset, data, TraceCtx{})
 }
 
 // AM invokes the remote active-message handler and returns its reply.
@@ -370,18 +351,9 @@ func (c *Client) CallAM(handler uint16, payload []byte, timeout time.Duration) (
 	return c.call(msgAM, frameSpec{handler: handler, data: payload}, timeout)
 }
 
-// StartGet issues a GET without waiting: bulk callers pipeline many requests
-// onto the connection (the write queue corks them into one writev per
-// window — see Pending for when the frames go out) and collect the responses
-// with Wait.
+// StartGet issues Get without waiting: a one-element StartGetV, sent at once.
 func (c *Client) StartGet(segment uint64, offset, length int) *Pending {
-	return c.start(msgGet, frameSpec{seg: segment, off: uint64(offset), length: uint32(length)}, c.cfg.CallTimeout, true)
-}
-
-// StartPut issues a PUT without waiting. The data is copied into the frame
-// before StartPut returns, so the caller may reuse its buffer immediately.
-func (c *Client) StartPut(segment uint64, offset int, data []byte) *Pending {
-	return c.start(msgPut, frameSpec{seg: segment, off: uint64(offset), data: data}, c.cfg.CallTimeout, true)
+	return c.StartGetV(length, []VecAddr{{segment, uint64(offset)}}, TraceCtx{})
 }
 
 // Ctx variants carry a trace context on the wire (an extra 16-byte header
@@ -393,12 +365,12 @@ func (c *Client) StartPut(segment uint64, offset int, data []byte) *Pending {
 
 // GetCtx is Get carrying a trace context.
 func (c *Client) GetCtx(segment uint64, offset, length int, tc TraceCtx) ([]byte, error) {
-	return c.call(msgGet, frameSpec{seg: segment, off: uint64(offset), length: uint32(length), tc: tc}, c.cfg.CallTimeout)
+	return c.call(msgGetV, frameSpec{length: uint32(length), vec: []VecAddr{{segment, uint64(offset)}}, tc: tc}, c.cfg.CallTimeout)
 }
 
 // PutCtx is Put carrying a trace context.
 func (c *Client) PutCtx(segment uint64, offset int, data []byte, tc TraceCtx) error {
-	_, err := c.call(msgPut, frameSpec{seg: segment, off: uint64(offset), data: data, tc: tc}, c.cfg.CallTimeout)
+	_, err := c.call(msgPutV, frameSpec{length: uint32(len(data)), vec: []VecAddr{{segment, uint64(offset)}}, data: data, tc: tc}, c.cfg.CallTimeout)
 	return err
 }
 
@@ -407,17 +379,17 @@ func (c *Client) CallAMCtx(handler uint16, payload []byte, timeout time.Duration
 	return c.call(msgAM, frameSpec{handler: handler, data: payload, tc: tc}, timeout)
 }
 
-// StartGetV issues one vectored GET without waiting: Wait returns the
-// elemLen-byte elements at at, concatenated in order. Unlike StartGet it is
-// not corked — the frame goes out at once, or joins the flush already in
-// progress — so a caller that starts one frame per node has every node
-// working before its first Wait. The frame must stay under the node's frame
-// limit (16 MiB, the reply included): callers chunk large batches.
+// StartGetV issues one GETV without waiting: Wait returns the elemLen-byte
+// elements at at, concatenated in order. The frame goes out at once, or joins
+// the flush already in progress, so a caller that starts one frame per node
+// has every node working before its first Wait. The frame must stay under the
+// node's frame limit (16 MiB, the reply included): callers chunk large
+// batches.
 func (c *Client) StartGetV(elemLen int, at []VecAddr, tc TraceCtx) *Pending {
-	return c.start(msgGetV, frameSpec{length: uint32(elemLen), vec: at, tc: tc}, c.cfg.CallTimeout, false)
+	return c.start(msgGetV, frameSpec{length: uint32(elemLen), vec: at, tc: tc}, c.cfg.CallTimeout)
 }
 
-// StartPutV issues one vectored PUT without waiting: data holds len(at)
+// StartPutV issues one PUTV without waiting: data holds len(at)
 // elements of elemLen bytes, the i-th stored at at[i]. The node applies the
 // frame whole or not at all. It is sent like StartGetV, and data is copied
 // into the frame before StartPutV returns.
@@ -425,5 +397,5 @@ func (c *Client) StartPutV(elemLen int, at []VecAddr, data []byte, tc TraceCtx) 
 	if len(data) != len(at)*elemLen {
 		panic(fmt.Sprintf("comm: StartPutV with %d data bytes for %d elements of %d", len(data), len(at), elemLen))
 	}
-	return c.start(msgPutV, frameSpec{length: uint32(elemLen), vec: at, data: data, tc: tc}, c.cfg.CallTimeout, false)
+	return c.start(msgPutV, frameSpec{length: uint32(elemLen), vec: at, data: data, tc: tc}, c.cfg.CallTimeout)
 }

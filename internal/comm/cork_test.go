@@ -1,18 +1,18 @@
 package comm
 
 import (
-	"encoding/binary"
+	"bufio"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
 
-// The cork rule end to end: a caller's Start* window is one request writev
-// and one reply writev, blocking calls flush the cork in wire order, the
-// high-water mark bounds a long window, Close delivers corked-but-unsent
-// Pendings their one result, and a burst's slices are not retained (nor
-// re-cleared by every later flush).
+// The node's reply cork and the queue's ownership rules end to end: the
+// high-water mark bounds the replies to a long burst, Close delivers frames
+// queued behind a stalled flush their Pendings' one result, and a burst's
+// slices are not retained (nor re-cleared by every later flush).
 
 // countingListener wraps every accepted connection in a countingConn and
 // hands it to the test, so the node's reply batches can be counted.
@@ -31,10 +31,11 @@ func (l *countingListener) Accept() (net.Conn, error) {
 	return cc, nil
 }
 
-// newCountingPair is newTestPair with both write queues on countingConns:
-// reqs counts the client's request batches, replies the node's reply batches.
-func newCountingPair(t *testing.T, cfg ClientConfig) (n *Node, c *Client, reqs, replies *countingConn) {
-	t.Helper()
+// The node corks its replies while more requests sit in its read buffer, and
+// the reply that brings the corked bytes to corkHighWater flushes: a burst
+// of 16384 requests written at once is answered in batches that overshoot
+// the mark by less than one reply.
+func TestCorkHighWaterBoundsBatches(t *testing.T) {
 	n, err := NewNodeConfig("127.0.0.1:0", NodeConfig{DeferServe: true})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
@@ -43,128 +44,68 @@ func newCountingPair(t *testing.T, cfg ClientConfig) (n *Node, c *Client, reqs, 
 	ln := &countingListener{Listener: n.ln, conns: make(chan *countingConn, 1)}
 	n.ln = ln
 	n.Serve()
-	c, err = DialConfig(n.Addr(), cfg)
+	conn, err := net.Dial("tcp", n.Addr())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	t.Cleanup(func() { c.Close() })
-	// No request has been issued yet (cfg carries no Identity, so no hello):
-	// swapping the queue's conn here races with nothing.
-	reqs = &countingConn{Conn: c.conn}
-	c.wq.conn = reqs
-	return n, c, reqs, <-ln.conns
-}
+	defer conn.Close()
+	replies := <-ln.conns
 
-func TestCorkedWindowIsOneBatchEachWay(t *testing.T) {
-	n, c, reqs, replies := newCountingPair(t, ClientConfig{CallTimeout: 5 * time.Second})
-	const window = 32
-	seg := n.AllocSegment(window * 8)
+	const window, elemLen = 16384, 64 // a 64-byte reply rides inline: one iovec
+	seg := n.AllocSegment(elemLen)
+	var stream []byte
 	for i := 0; i < window; i++ {
-		var v [8]byte
-		binary.BigEndian.PutUint64(v[:], uint64(i)+100)
-		if err := n.LocalWrite(seg, i*8, v[:]); err != nil {
-			t.Fatal(err)
+		stream = append(stream, appendRequestFrame(nil, msgGetV, uint64(i), frameSpec{length: elemLen, vec: []VecAddr{{seg, 0}}})...)
+	}
+	sent := make(chan error, 1)
+	go func() {
+		_, err := conn.Write(stream)
+		sent <- err
+	}()
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	r := bufio.NewReader(conn)
+	for i := 0; i < window; i++ {
+		typ, seq, payload, err := readFrame(r)
+		if err != nil || typ != msgOK || seq != uint64(i) || len(payload) != elemLen {
+			t.Fatalf("reply %d: %#x seq %d, %d bytes, %v", i, typ, seq, len(payload), err)
 		}
 	}
-
-	pend := make([]*Pending, window)
-	for i := range pend {
-		pend[i] = c.StartGet(seg, i*8, 8)
+	if err := <-sent; err != nil {
+		t.Fatalf("write: %v", err)
 	}
-	if got := reqs.batches.Load(); got != 0 {
-		t.Fatalf("Start* flushed %d batches before any Wait", got)
+	replyLen := int64(len(frameHeader(nil, msgOK, 0, elemLen))) + elemLen
+	if max := replies.maxBytes.Load(); max >= corkHighWater+replyLen {
+		t.Fatalf("largest reply batch %d bytes, want < %d", max, corkHighWater+replyLen)
 	}
-	for i, p := range pend {
-		b, err := p.Wait()
-		if err != nil {
-			t.Fatalf("Wait %d: %v", i, err)
-		}
-		if v := binary.BigEndian.Uint64(b); v != uint64(i)+100 {
-			t.Fatalf("GET %d = %d, want %d", i, v, i+100)
-		}
-	}
-	if b, f := reqs.batches.Load(), reqs.frames.Load(); b != 1 || f != window {
-		t.Fatalf("client sent %d batches of %d frames in total, want 1 batch of %d", b, f, window)
-	}
-	// Small replies ride inline in the header buffer: one iovec per reply.
-	if f := replies.frames.Load(); f != window {
-		t.Fatalf("node sent %d reply iovecs, want %d", f, window)
-	}
-	// One writev of 32 small frames reaches the node in one read on loopback,
-	// so it answers with one batch. Under -race the flusher degrades to one
-	// annotated Write per frame (race_on.go) and the node may see a trickle.
-	if b := replies.batches.Load(); !raceEnabled && b != 1 {
-		t.Fatalf("node answered in %d batches, want 1", b)
+	if f, b := replies.frames.Load(), replies.batches.Load(); f != window || b >= window {
+		t.Fatalf("node sent %d replies in %d batches, want %d in fewer batches", f, b, window)
 	}
 }
 
-func TestBlockingCallFlushesCorkInWireOrder(t *testing.T) {
-	n, c, reqs, _ := newCountingPair(t, ClientConfig{CallTimeout: 5 * time.Second})
+// Frames queued behind a flush that never completes still get exactly one
+// result each when the client closes, and their entries are released.
+func TestCloseFailsQueuedPending(t *testing.T) {
+	n, c := newTestPair(t)
 	seg := n.AllocSegment(8)
-	one, two := []byte{0, 0, 0, 0, 0, 0, 0, 1}, []byte{0, 0, 0, 0, 0, 0, 0, 2}
-	p1 := c.StartPut(seg, 0, one)
-	p2 := c.StartPut(seg, 0, two)
-	if got := reqs.batches.Load(); got != 0 {
-		t.Fatalf("Start* flushed %d batches before any Wait", got)
-	}
-	// The node applies data-plane frames inline in wire order, so the GET
-	// reads 2 only if the batch went out as PUT 1, PUT 2, GET.
-	b, err := c.Get(seg, 0, 8)
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if v := binary.BigEndian.Uint64(b); v != 2 {
-		t.Fatalf("GET behind two corked PUTs read %d, want 2", v)
-	}
-	if b, f := reqs.batches.Load(), reqs.frames.Load(); b != 1 || f != 3 {
-		t.Fatalf("blocking Get sent %d batches of %d frames in total, want 1 batch of 3", b, f)
-	}
-	for i, p := range []*Pending{p1, p2} {
-		if _, err := p.Wait(); err != nil {
-			t.Fatalf("Wait %d: %v", i, err)
-		}
-	}
-	if b := reqs.batches.Load(); b != 1 {
-		t.Fatalf("Waits on already-sent frames flushed again (%d batches)", b)
-	}
-}
-
-func TestCorkHighWaterBoundsBatches(t *testing.T) {
-	n, c, reqs, _ := newCountingPair(t, ClientConfig{CallTimeout: 30 * time.Second})
-	const window = 16384
-	seg := n.AllocSegment(8)
-	pend := make([]*Pending, window)
-	for i := range pend {
-		pend[i] = c.StartGet(seg, 0, 8)
-	}
-	for i, p := range pend {
-		if _, err := p.Wait(); err != nil {
-			t.Fatalf("Wait %d: %v", i, err)
-		}
-	}
-	frameLen := int64(len(appendRequestFrame(nil, msgGet, 1, frameSpec{})))
-	// The enqueue that reaches the mark flushes, so a batch overshoots it by
-	// less than one frame; everything below the mark waits for the first Wait.
-	if max := reqs.maxBytes.Load(); max >= corkHighWater+frameLen {
-		t.Fatalf("largest batch %d bytes, want < %d", max, corkHighWater+frameLen)
-	}
-	if b, want := reqs.batches.Load(), window*frameLen/corkHighWater; b < want || b > want+1 {
-		t.Fatalf("%d-frame window went out in %d batches, want %d or %d", window, b, want, want+1)
-	}
-	if f := reqs.frames.Load(); f != window {
-		t.Fatalf("sent %d frames, want %d", f, window)
-	}
-}
-
-// A Start* whose frame is never flushed still gets exactly one result when
-// the client closes, and its corked entry is released.
-func TestCloseFailsCorkedPending(t *testing.T) {
-	n, c, reqs, _ := newCountingPair(t, ClientConfig{})
-	seg := n.AllocSegment(8)
-	p := c.StartGet(seg, 0, 8)
-	q := c.StartPut(seg, 0, make([]byte, 8))
+	// No request has been issued yet (Dial sent no hello): swapping the
+	// queue's conn here races with nothing.
+	gc := &gateConn{Conn: c.conn, gate: make(chan struct{}), entered: make(chan struct{})}
+	c.wq.conn = gc
+	openGate := sync.OnceFunc(func() { close(gc.gate) })
+	t.Cleanup(openGate)
+	first := make(chan *Pending, 1)
+	go func() { first <- c.StartGet(seg, 0, 8) }() // becomes the flusher and blocks at the gate
+	<-gc.entered
+	queued := []*Pending{c.StartGet(seg, 0, 8), c.StartPutV(8, []VecAddr{{seg, 0}}, make([]byte, 8), TraceCtx{})}
 	c.Close()
-	for i, pd := range []*Pending{p, q} {
+	c.wq.mu.Lock()
+	left := len(c.wq.pend)
+	c.wq.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d queued entries survive Close", left)
+	}
+	openGate()
+	for i, pd := range append(queued, <-first) {
 		if got := len(pd.ch); got != 1 {
 			t.Fatalf("pending %d holds %d results after Close, want exactly 1", i, got)
 		}
@@ -174,15 +115,6 @@ func TestCloseFailsCorkedPending(t *testing.T) {
 		if got := len(pd.ch); got != 0 {
 			t.Fatalf("pending %d received a second result", i)
 		}
-	}
-	if b := reqs.batches.Load(); b != 0 {
-		t.Fatalf("Close flushed %d batches of corked frames", b)
-	}
-	c.wq.mu.Lock()
-	left := len(c.wq.pend)
-	c.wq.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d corked entries survive Close", left)
 	}
 	if late := c.StartGet(seg, 0, 8); len(late.ch) != 1 {
 		t.Fatal("Start* on a closed client did not fail at once")
@@ -226,7 +158,7 @@ func burstQueue(t *testing.T, burst int) (*writeQueue, *countingConn) {
 	for i := 0; i < burst; i++ {
 		// A flusher is active, so even past the high-water mark these only
 		// queue: the pinned flusher takes them all in its next batch.
-		if _, err := q.enqueueDeferred(okEntry(1, frameRef{}), 0); err != nil {
+		if err := q.enqueueDeferred(okEntry(1, frameRef{})); err != nil {
 			t.Fatalf("enqueueDeferred: %v", err)
 		}
 	}

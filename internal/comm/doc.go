@@ -17,14 +17,13 @@
 //     is expensive; a node-local metadata read is not).
 //   - Node/Client (node.go, client.go): a real transport over
 //     net.Listener/net.Conn with a small length-prefixed binary protocol
-//     implementing GET, PUT, their vectored forms GETV and PUTV (many
-//     same-length elements in one frame, applied whole or not at all), and
-//     active messages. It exists to demonstrate that the same operations
-//     run across genuinely separate address spaces (examples/netarray) and
-//     to keep the in-process model honest about what must be serializable.
-//     Blocking calls (Get/Put/AM) and the vectored StartGetV/StartPutV send
-//     at once. Pipelined point calls (StartGet/StartPut) are corked: their
-//     frames are on the wire no later than the first Pending.Wait on that
-//     client, or once 64 KiB have been corked — see Pending for the full
-//     delivery rule.
+//     carrying one data-plane frame family, GETV and PUTV (many same-length
+//     elements in one frame, applied whole or not at all; a point Get or
+//     Put is the one-element frame), and active messages. It exists to
+//     demonstrate that the same operations run across genuinely separate
+//     address spaces (examples/netarray) and to keep the in-process model
+//     honest about what must be serializable. Every call sends its frame at
+//     once; a caller batches by putting more elements in one frame. An
+//     aligned 8-byte element never tears between concurrent remote and
+//     local readers and writers.
 package comm

@@ -8,7 +8,7 @@ import (
 // FuzzFrameRoundTrip: any (type, seq, payload) survives encode/decode.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(byte(1), uint64(0), []byte{})
-	f.Add(msgGet, uint64(42), []byte("hello"))
+	f.Add(msgGetV, uint64(42), []byte("hello"))
 	f.Add(msgError, ^uint64(0), bytes.Repeat([]byte{0xAA}, 1024))
 	f.Fuzz(func(t *testing.T, typ byte, seq uint64, payload []byte) {
 		if len(payload) > maxFrame-headerLen {
@@ -37,51 +37,39 @@ func FuzzReadFrameNoPanic(f *testing.F) {
 	})
 }
 
-// FuzzPayloadDecoders: the GET/PUT/AM/GETV/PUTV payload decoders reject
-// malformed input with errors, never panics, and round-trip well-formed
-// input.
+// FuzzPayloadDecoders: the AM/GETV/PUTV payload decoders reject malformed
+// input with errors, never panics, and round-trip well-formed input — the
+// one-element GETV and PUTV of a point Get and Put included.
 func FuzzPayloadDecoders(f *testing.F) {
 	f.Add(uint64(1), uint64(2), []byte("x"))
 	f.Add(uint64(0), ^uint64(0), []byte{0, 0, 0, 8, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, a, b uint64, data []byte) {
-		if len(data) >= 4 {
-			length := uint32(len(data))
-			seg, off, n, err := decodeGet(encodeGet(a, b, length))
-			if err != nil || seg != a || off != b || n != length {
-				t.Fatalf("GET round trip: %d %d %d %v", seg, off, n, err)
-			}
-		}
-		seg, off, d, err := decodePut(encodePut(a, b, data))
-		if err != nil || seg != a || off != b || !bytes.Equal(d, data) {
-			t.Fatalf("PUT round trip: %d %d %v", seg, off, err)
-		}
 		h, d2, err := decodeAM(encodeAM(uint16(a), data))
 		if err != nil || h != uint16(a) || !bytes.Equal(d2, data) {
 			t.Fatalf("AM round trip: %d %v", h, err)
 		}
 		if len(data) > 0 {
-			// Two entries of len(data)-byte elements.
-			at := []VecAddr{{a, b}, {b, a}}
-			for _, typ := range []byte{msgGetV, msgPutV} {
-				s := frameSpec{length: uint32(len(data)), vec: at}
-				if typ == msgPutV {
-					s.data = append(append([]byte(nil), data...), data...)
-				}
-				v, err := decodeVec(typ, appendRequestFrame(nil, typ, 1, s)[13:])
-				if err != nil || v.elemLen != len(data) || v.count() != 2 {
-					t.Fatalf("%s round trip: %+v %v", opName(typ), v, err)
-				}
-				for i, want := range at {
-					seg, off, d := v.at(i)
-					if seg != want.Seg || off != want.Off || (typ == msgPutV && !bytes.Equal(d, data)) {
-						t.Fatalf("%s entry %d: %d %d %x", opName(typ), i, seg, off, d)
+			// One and two entries of len(data)-byte elements.
+			for _, at := range [][]VecAddr{{{a, b}}, {{a, b}, {b, a}}} {
+				for _, typ := range []byte{msgGetV, msgPutV} {
+					s := frameSpec{length: uint32(len(data)), vec: at}
+					if typ == msgPutV {
+						s.data = bytes.Repeat(data, len(at))
+					}
+					v, err := decodeVec(typ, appendRequestFrame(nil, typ, 1, s)[13:])
+					if err != nil || v.elemLen != len(data) || v.count() != len(at) {
+						t.Fatalf("%s round trip: %+v %v", opName(typ), v, err)
+					}
+					for i, want := range at {
+						seg, off, d := v.at(i)
+						if seg != want.Seg || off != want.Off || (typ == msgPutV && !bytes.Equal(d, data)) {
+							t.Fatalf("%s entry %d: %d %d %x", opName(typ), i, seg, off, d)
+						}
 					}
 				}
 			}
 		}
 		// Arbitrary bytes into the decoders must not panic.
-		_, _, _, _ = decodeGet(data)
-		_, _, _, _ = decodePut(data)
 		_, _, _ = decodeAM(data)
 		_, _ = decodeVec(msgGetV, data)
 		_, _ = decodeVec(msgPutV, data)

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"rcuarray/internal/obs"
 )
@@ -241,10 +242,11 @@ func (n *Node) FreeSegment(id uint64) error {
 	return nil
 }
 
-// Segment returns the live backing slice of a segment for the owner's fast
-// path (no copy). The caller must not retain the slice past FreeSegment and
-// must coordinate concurrent byte-level access itself, exactly as with any
-// shared memory.
+// Segment returns the live backing slice of a segment (no copy). The caller
+// must not retain the slice past FreeSegment and must coordinate concurrent
+// byte-level access itself, exactly as with any shared memory; an element
+// that remote GETVs and PUTVs also reach is read and written through
+// ReadElem and WriteElem instead.
 func (n *Node) Segment(id uint64) ([]byte, error) {
 	n.segMu.RLock()
 	defer n.segMu.RUnlock()
@@ -255,36 +257,29 @@ func (n *Node) Segment(id uint64) ([]byte, error) {
 	return seg, nil
 }
 
-// segSlice returns a bounds-checked window into a segment's live backing
-// array (the zero-copy GET reply). The slice stays valid even if the segment
-// is freed before the reply flushes — freeing only drops the table entry, and
-// the GC keeps the array alive while the reply references it.
-func (n *Node) segSlice(id uint64, off, length int) ([]byte, error) {
+// ReadElem copies the len(dst) bytes at off in segment id into dst, and
+// WriteElem stores data there. Each holds the segment-table read lock and
+// copies like a one-element GETV or PUTV (see loadElem), so the owner's own
+// element access does not tear against remote ones.
+func (n *Node) ReadElem(id uint64, off int, dst []byte) error {
 	n.segMu.RLock()
 	defer n.segMu.RUnlock()
-	seg, ok := n.segments[id]
-	if !ok {
-		return nil, fmt.Errorf("comm: read of unknown segment %d", id)
+	w, err := n.vecWindow("read", id, uint64(off), len(dst))
+	if err == nil {
+		loadElem(dst[:0], w)
 	}
-	if off < 0 || length < 0 || off+length > len(seg) {
-		return nil, fmt.Errorf("comm: read [%d,%d) out of segment bounds %d", off, off+length, len(seg))
-	}
-	return seg[off : off+length], nil
+	return err
 }
 
-// LocalWrite copies into a segment without going over the wire.
-func (n *Node) LocalWrite(id uint64, off int, data []byte) error {
+// WriteElem is ReadElem's store: see ReadElem.
+func (n *Node) WriteElem(id uint64, off int, data []byte) error {
 	n.segMu.RLock()
 	defer n.segMu.RUnlock()
-	seg, ok := n.segments[id]
-	if !ok {
-		return fmt.Errorf("comm: write of unknown segment %d", id)
+	w, err := n.vecWindow("write", id, uint64(off), len(data))
+	if err == nil {
+		storeElem(w, data)
 	}
-	if off < 0 || off+len(data) > len(seg) {
-		return fmt.Errorf("comm: write [%d,%d) out of segment bounds %d", off, off+len(data), len(seg))
-	}
-	copy(seg[off:], data)
-	return nil
+	return err
 }
 
 // Handle registers fn for active messages with the given handler id.
@@ -341,14 +336,13 @@ func (n *Node) serveConn(conn net.Conn) {
 	}()
 	// Responses ride a per-connection write queue mirroring the client's:
 	// replies from the inline loop and from concurrent AM goroutines coalesce
-	// into batched writev flushes. Response payloads above inlineReply bytes
-	// travel as zero-copy tails — a GET reply's iovec points straight into
-	// the segment, an AM reply points at whatever the handler returned — so
-	// the only per-reply copy is the 13-byte frame header into a pooled
-	// buffer. Smaller payloads (an element is 8 bytes) are appended to that
+	// into batched writev flushes. An AM reply above inlineReply bytes
+	// travels as a zero-copy tail pointing at whatever the handler returned,
+	// and so does a GETV reply that large, pointing at its own pooled buffer;
+	// the only per-reply copy is then the 13-byte frame header. Smaller
+	// payloads (a point read is one 8-byte element) are appended to that
 	// header instead: copying a few bytes is cheaper than a second iovec per
-	// reply, and a copy taken at dispatch time is no more torn than an alias
-	// read at flush time.
+	// reply.
 	var frames, bytes *obs.Histogram
 	if n.obs != nil {
 		frames, bytes = n.obs.flushFrames, n.obs.flushBytes
@@ -382,23 +376,23 @@ func (n *Node) serveConn(conn net.Conn) {
 	// Active messages each run in their own goroutine so that long-running
 	// or blocking handlers (remote lock acquisition, workload execution)
 	// neither stall pipelined requests on this connection nor deadlock
-	// against each other. Data-plane frames (GET/PUT) are instead handled
+	// against each other. Data-plane frames (GETV/PUTV) are instead handled
 	// inline, in wire order: they are short and never block on other
 	// requests, and in-order application is what keeps a stalled-then-
 	// abandoned Put from clobbering a later acknowledged write issued on the
 	// same connection.
 	//
 	// Request bodies are pooled. Inline frames (hello and the data plane)
-	// are done with the body the moment the handler returns — a GET reply
-	// aliases the *segment*, a GETV reply its own pooled buffer, never the
-	// request — so it recycles immediately, and a GETV's reply buffer rides
-	// the reply's entry until it is flushed. An AM reply may alias its
+	// are done with the body the moment the handler returns — a GETV reply
+	// is a copy in its own pooled buffer, never an alias of the request — so
+	// it recycles immediately, and a GETV's reply buffer rides the reply's
+	// entry until it is flushed. An AM reply may alias its
 	// request payload (echo-style handlers), so its body is handed to the
 	// reply's entry and recycles only after the reply is flushed.
 	// Requests arrive through a buffered reader, so a burst of pipelined
 	// frames costs one read syscall, and inline replies are corked
 	// (enqueueDeferred) while more complete input is already sitting in the
-	// buffer: a window of N GETs turns into one writev of N replies instead
+	// buffer: a burst of N frames turns into one writev of N replies instead
 	// of N single-frame flushes. The cork is safe because the loop always
 	// kicks the queue before blocking on the socket again — including on
 	// exit, so deferred replies and their pooled buffers never leak.
@@ -426,13 +420,13 @@ func (n *Node) serveConn(conn net.Conn) {
 				ident, gen = i, g
 			}
 			body.release()
-			_, _ = wq.enqueueDeferred(makeEntry(seq, nil, herr, frameRef{}), 0)
-		case msgGet, msgPut, msgGetV, msgPutV:
+			_ = wq.enqueueDeferred(makeEntry(seq, nil, herr, frameRef{}))
+		case msgGetV, msgPutV:
 			t0 := n.obs.spanStart(tc)
 			resp, reply, herr := n.dispatchData(typ, payload, ident, gen)
 			ring = n.obs.dataSpan(ring, typ, t0, tc.SpanID)
 			body.release()
-			_, _ = wq.enqueueDeferred(makeEntry(seq, resp, herr, reply), 0)
+			_ = wq.enqueueDeferred(makeEntry(seq, resp, herr, reply))
 		default:
 			reqs.Add(1)
 			go func(typ byte, seq uint64, payload []byte, body frameRef, tc TraceCtx) {
@@ -473,49 +467,26 @@ func (n *Node) registerHello(payload []byte) (ident, gen uint64, err error) {
 	return ident, gen, nil
 }
 
-// dispatchData serves one data-plane frame: GET, PUT, GETV or PUTV. Puts
-// from a fenced connection — one whose identity has registered a higher
-// generation since — are rejected; the check and the write happen under one
-// lock so a Put can never land after a write acknowledged on the successor
-// connection. A PUTV is checked once for the whole frame, so a fenced one
-// lands no element. Gets are idempotent and are not fenced: a stale read
-// returns to a caller that already gave up on it.
+// dispatchData serves one data-plane frame, a GETV or a PUTV. A PUTV from a
+// fenced connection — one whose identity has registered a higher generation
+// since — is rejected as a whole; the check and the write happen under one
+// lock so a write can never land after one acknowledged on the successor
+// connection. GETVs are idempotent and are not fenced: a stale read returns
+// to a caller that already gave up on it.
 //
-// A GET's reply slice references the segment directly — no intermediate
-// copy — and is sent as its own iovec in the flushed batch. A GETV copies its
-// elements into one pooled buffer, returned as reply for the reply's entry
-// to release once it is flushed. Bytes written concurrently may tear within
-// either reply, exactly as they already could through LocalWrite and the
-// owner's Segment slice, neither of which holds more than the segment-table
-// read lock.
+// A GETV copies its elements into one pooled buffer, returned as reply for
+// the reply's entry to release once it is flushed. An aligned 8-byte element
+// is copied in either direction with one atomic word access, so it never
+// tears against a concurrent write (see loadElem); other shapes may tear.
 func (n *Node) dispatchData(typ byte, payload []byte, ident, gen uint64) (resp []byte, reply frameRef, err error) {
-	switch typ {
-	case msgGet:
-		seg, off, length, err := decodeGet(payload)
-		if err != nil {
-			return nil, frameRef{}, err
-		}
-		resp, err = n.segSlice(seg, int(off), int(length))
-		return resp, frameRef{}, err
-	case msgGetV:
-		v, err := decodeVec(typ, payload)
-		if err != nil {
-			return nil, frameRef{}, err
-		}
-		return n.getV(v)
-	case msgPut:
-		seg, off, data, err := decodePut(payload)
-		if err != nil {
-			return nil, frameRef{}, err
-		}
-		return nil, frameRef{}, n.fenced(ident, gen, func() error { return n.LocalWrite(seg, int(off), data) })
-	default: // msgPutV
-		v, err := decodeVec(typ, payload)
-		if err != nil {
-			return nil, frameRef{}, err
-		}
-		return nil, frameRef{}, n.fenced(ident, gen, func() error { return n.putV(v) })
+	v, err := decodeVec(typ, payload)
+	if err != nil {
+		return nil, frameRef{}, err
 	}
+	if typ == msgGetV {
+		return n.getV(v)
+	}
+	return nil, frameRef{}, n.fenced(ident, gen, func() error { return n.putV(v) })
 }
 
 // fenced runs write unless the connection's generation (ident, gen) has been
@@ -564,7 +535,7 @@ func (n *Node) getV(v vecPayload) ([]byte, frameRef, error) {
 			out.release()
 			return nil, frameRef{}, err
 		}
-		b = append(b, w...)
+		b = loadElem(b, w)
 	}
 	n.segMu.RUnlock()
 	out.set(b)
@@ -586,9 +557,40 @@ func (n *Node) putV(v vecPayload) error {
 	for i := 0; i < v.count(); i++ {
 		id, off, data := v.at(i)
 		w, _ := n.vecWindow("write", id, off, v.elemLen) // checked above
-		copy(w, data)
+		storeElem(w, data)
 	}
 	return nil
+}
+
+// loadElem appends the element w to dst. An 8-byte element at an 8-aligned
+// address — in an AllocSegment segment, every element at an 8-aligned
+// offset — is read with one atomic 64-bit load, so it never tears against
+// storeElem; any other shape is a plain copy and may tear. Both sides move the word in native byte order, so the bytes in
+// memory, on the wire and in snapshots are the bytes the writer sent.
+func loadElem(dst, w []byte) []byte {
+	if p := word(w); p != nil {
+		return binary.NativeEndian.AppendUint64(dst, p.Load())
+	}
+	return append(dst, w...)
+}
+
+// storeElem copies data into the element w, with one atomic 64-bit store
+// where loadElem would use one load.
+func storeElem(w, data []byte) {
+	if p := word(w); p != nil {
+		p.Store(binary.NativeEndian.Uint64(data))
+		return
+	}
+	copy(w, data)
+}
+
+// word returns w as an atomic word when it is 8 bytes at an 8-aligned
+// address, and nil otherwise.
+func word(w []byte) *atomic.Uint64 {
+	if len(w) != 8 || uintptr(unsafe.Pointer(unsafe.SliceData(w)))%8 != 0 {
+		return nil
+	}
+	return (*atomic.Uint64)(unsafe.Pointer(unsafe.SliceData(w)))
 }
 
 // readFrameDeadlinePooled reads one frame with the node's per-connection read

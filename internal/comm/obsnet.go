@@ -15,10 +15,6 @@ import (
 // opName names a request message type for metric labels.
 func opName(typ byte) string {
 	switch typ {
-	case msgGet:
-		return "GET"
-	case msgPut:
-		return "PUT"
 	case msgAM:
 		return "AM"
 	case msgHello:
@@ -32,7 +28,7 @@ func opName(typ byte) string {
 	}
 }
 
-var reqTypes = []byte{msgGet, msgPut, msgAM, msgHello, msgGetV, msgPutV}
+var reqTypes = []byte{msgAM, msgHello, msgGetV, msgPutV}
 
 // Trace track namespaces for the comm layer. Client RPC spans ride one ring
 // per client, keyed by ClientConfig.TraceTrack; node-side data-plane handler
@@ -105,7 +101,7 @@ type nodeObs struct {
 	// Response-side coalescing views, shared across this node's connections.
 	flushFrames *obs.Histogram
 	flushBytes  *obs.Histogram
-	// Handler spans for traced requests: data-plane (GET/PUT/GETV/PUTV) spans
+	// Handler spans for traced requests: data-plane (GETV/PUTV) spans
 	// go to a per-connection ring (single writer: the serve loop), AM spans
 	// to a shared ring written by concurrent handler goroutines (Complete events
 	// only, which the ring tolerates).

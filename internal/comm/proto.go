@@ -15,13 +15,14 @@ import (
 // Requests carry a client-chosen sequence number; the matching response
 // echoes it, so a client may pipeline requests on one connection.
 //
-// The vectored types carry N same-length elements in one frame, N implied by
-// the payload length (N >= 1). A GETV's reply is the N elements concatenated
-// in request order; a PUTV's reply is empty. Both apply whole or not at all:
-// one bad entry fails the frame before any element is read or written.
+// The data plane is one frame family: a GETV or PUTV carries N same-length
+// elements, N implied by the payload length (N >= 1), and a point Get or Put
+// is the N = 1 case. A GETV's reply is the N elements concatenated in request
+// order; a PUTV's reply is empty. Both apply whole or not at all: one bad
+// entry fails the frame before any element is read or written. Type bytes
+// 0x01 and 0x02 belonged to the retired point GET and PUT frames; a node
+// answers them, like any unknown type, with msgError.
 const (
-	msgGet   byte = 0x01 // payload: [8B segment][8B offset][4B length]
-	msgPut   byte = 0x02 // payload: [8B segment][8B offset][data]
 	msgAM    byte = 0x03 // payload: [2B handler][data]
 	msgHello byte = 0x04 // payload: [8B identity][8B generation] (write fencing)
 	msgGetV  byte = 0x05 // payload: [4B elemLen][N × ([8B segment][8B offset])]
@@ -74,9 +75,8 @@ func frame(buf []byte, typ byte, seq uint64, payload []byte) []byte {
 }
 
 // frameHeader appends just the length prefix and header for a frame whose
-// payload will be written separately (the zero-copy response path: the
-// payload rides as its own iovec in the batched writev, never copied into
-// the frame buffer).
+// payload is appended after it, or, for a large AM reply, written separately
+// as its own iovec in the batched writev, never copied into the frame buffer.
 func frameHeader(buf []byte, typ byte, seq uint64, payloadLen int) []byte {
 	buf = append(buf[:0], 0, 0, 0, 0)
 	binary.BigEndian.PutUint32(buf, uint32(headerLen+payloadLen))
@@ -84,8 +84,8 @@ func frameHeader(buf []byte, typ byte, seq uint64, payloadLen int) []byte {
 	return binary.BigEndian.AppendUint64(buf, seq)
 }
 
-// VecAddr names one element of a vectored GET or PUT: a segment and a byte
-// offset into it.
+// VecAddr names one element of a GETV or PUTV: a segment and a byte offset
+// into it.
 type VecAddr struct {
 	Seg uint64
 	Off uint64
@@ -94,17 +94,15 @@ type VecAddr struct {
 // frameSpec carries the fields of one request frame so the encoders can
 // build the wire bytes in a single pass straight into a pooled buffer — no
 // intermediate payload allocation, no second copy. Which fields are live
-// depends on the message type: GET uses seg/off/length, PUT seg/off/data,
-// AM handler/data, GETV length (the element length) and vec, PUTV
-// length/vec/data (len(vec) elements back to back), and anything else
-// (hello, tests) sends data verbatim.
+// depends on the message type: AM uses handler/data, GETV length (the
+// element length) and vec, PUTV length/vec/data (len(vec) elements back to
+// back), and anything else (hello, tests) sends data verbatim.
 type frameSpec struct {
-	seg, off uint64
-	length   uint32
-	handler  uint16
-	data     []byte
-	vec      []VecAddr
-	tc       TraceCtx // zero = untraced (wire bytes unchanged)
+	length  uint32
+	handler uint16
+	data    []byte
+	vec     []VecAddr
+	tc      TraceCtx // zero = untraced (wire bytes unchanged)
 }
 
 // requestHeader is frameHeader plus the optional trace context: a traced
@@ -144,19 +142,10 @@ func splitTrace(typ byte, payload []byte) (byte, TraceCtx, []byte, error) {
 
 // appendRequestFrame encodes a complete request frame (prefix, header,
 // optional trace context, payload) into buf. For an untraced spec the wire
-// bytes are identical to frame(typ, seq, encodeXxx(...)).
+// bytes are identical to frame(typ, seq, payload) with the payload laid out
+// as the message table above gives it.
 func appendRequestFrame(buf []byte, typ byte, seq uint64, s frameSpec) []byte {
 	switch typ {
-	case msgGet:
-		buf = requestHeader(buf, typ, seq, 20, s.tc)
-		buf = binary.BigEndian.AppendUint64(buf, s.seg)
-		buf = binary.BigEndian.AppendUint64(buf, s.off)
-		return binary.BigEndian.AppendUint32(buf, s.length)
-	case msgPut:
-		buf = requestHeader(buf, typ, seq, 16+len(s.data), s.tc)
-		buf = binary.BigEndian.AppendUint64(buf, s.seg)
-		buf = binary.BigEndian.AppendUint64(buf, s.off)
-		return append(buf, s.data...)
 	case msgAM:
 		buf = requestHeader(buf, typ, seq, 2+len(s.data), s.tc)
 		buf = binary.BigEndian.AppendUint16(buf, s.handler)
@@ -225,37 +214,6 @@ func readFrameBodyPooled(r io.Reader, lenBuf [4]byte) (typ byte, seq uint64, pay
 		return 0, 0, nil, frameRef{}, fmt.Errorf("comm: short frame: %w", err)
 	}
 	return b[0], binary.BigEndian.Uint64(b[1:9]), b[9:], body, nil
-}
-
-// encodeGet builds a GET request payload.
-func encodeGet(segment, offset uint64, length uint32) []byte {
-	p := make([]byte, 0, 20)
-	p = binary.BigEndian.AppendUint64(p, segment)
-	p = binary.BigEndian.AppendUint64(p, offset)
-	return binary.BigEndian.AppendUint32(p, length)
-}
-
-func decodeGet(p []byte) (segment, offset uint64, length uint32, err error) {
-	if len(p) != 20 {
-		return 0, 0, 0, fmt.Errorf("comm: GET payload length %d, want 20", len(p))
-	}
-	return binary.BigEndian.Uint64(p), binary.BigEndian.Uint64(p[8:]),
-		binary.BigEndian.Uint32(p[16:]), nil
-}
-
-// encodePut builds a PUT request payload.
-func encodePut(segment, offset uint64, data []byte) []byte {
-	p := make([]byte, 0, 16+len(data))
-	p = binary.BigEndian.AppendUint64(p, segment)
-	p = binary.BigEndian.AppendUint64(p, offset)
-	return append(p, data...)
-}
-
-func decodePut(p []byte) (segment, offset uint64, data []byte, err error) {
-	if len(p) < 16 {
-		return 0, 0, nil, fmt.Errorf("comm: PUT payload length %d, want >= 16", len(p))
-	}
-	return binary.BigEndian.Uint64(p), binary.BigEndian.Uint64(p[8:]), p[16:], nil
 }
 
 // encodeAM builds an active-message request payload.

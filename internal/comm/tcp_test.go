@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -26,12 +27,12 @@ func newTestPair(t *testing.T) (*Node, *Client) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	buf := frame(nil, msgGet, 42, []byte("hello"))
+	buf := frame(nil, msgGetV, 42, []byte("hello"))
 	typ, seq, payload, err := readFrame(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
-	if typ != msgGet || seq != 42 || string(payload) != "hello" {
+	if typ != msgGetV || seq != 42 || string(payload) != "hello" {
 		t.Fatalf("round trip = (%#x, %d, %q)", typ, seq, payload)
 	}
 }
@@ -49,23 +50,24 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 }
 
 func TestPayloadCodecs(t *testing.T) {
-	seg, off, n, err := decodeGet(encodeGet(7, 13, 64))
-	if err != nil || seg != 7 || off != 13 || n != 64 {
-		t.Fatalf("GET codec: %d %d %d %v", seg, off, n, err)
+	// A point Get and Put are one-element GETV and PUTV payloads.
+	v, err := decodeVec(msgGetV, vecPayloadOf(64, vecEntry(7, 13)))
+	if seg, off, _ := v.at(0); err != nil || v.count() != 1 || v.elemLen != 64 || seg != 7 || off != 13 {
+		t.Fatalf("one-element GETV codec: %+v %v", v, err)
 	}
-	seg, off, data, err := decodePut(encodePut(3, 5, []byte{9, 9}))
-	if err != nil || seg != 3 || off != 5 || !bytes.Equal(data, []byte{9, 9}) {
-		t.Fatalf("PUT codec: %d %d %v %v", seg, off, data, err)
+	v, err = decodeVec(msgPutV, vecPayloadOf(2, vecEntry(3, 5, 9, 9)))
+	if seg, off, data := v.at(0); err != nil || v.count() != 1 || seg != 3 || off != 5 || !bytes.Equal(data, []byte{9, 9}) {
+		t.Fatalf("one-element PUTV codec: %d %d %v %v", seg, off, data, err)
 	}
 	h, data, err := decodeAM(encodeAM(21, []byte("x")))
 	if err != nil || h != 21 || string(data) != "x" {
 		t.Fatalf("AM codec: %d %q %v", h, data, err)
 	}
-	if _, _, _, err := decodeGet([]byte{1}); err == nil {
-		t.Fatal("short GET accepted")
+	if _, err := decodeVec(msgGetV, vecPayloadOf(8, vecEntry(7, 13)[:15])); err == nil {
+		t.Fatal("short GETV entry accepted")
 	}
-	if _, _, _, err := decodePut([]byte{1}); err == nil {
-		t.Fatal("short PUT accepted")
+	if _, err := decodeVec(msgPutV, vecPayloadOf(2, vecEntry(3, 5, 9))); err == nil {
+		t.Fatal("short PUTV entry accepted")
 	}
 	if _, _, err := decodeAM([]byte{1}); err == nil {
 		t.Fatal("short AM accepted")
@@ -107,6 +109,115 @@ func TestRemoteBoundsChecked(t *testing.T) {
 	}
 	if _, err := c.Get(9999, 0, 1); err == nil || !strings.Contains(err.Error(), "unknown segment") {
 		t.Fatalf("Get of unknown segment: %v", err)
+	}
+}
+
+// A point Get or Put is a one-element GETV or PUTV, whose element length must
+// be positive: a zero-length Get or an empty Put is rejected, not served as
+// an empty read or a no-op write.
+func TestZeroLengthPointOpRejected(t *testing.T) {
+	n, c := newTestPair(t)
+	seg := n.AllocSegment(8)
+	if b, err := c.Get(seg, 0, 0); err == nil || !strings.Contains(err.Error(), "element length 0") {
+		t.Fatalf("zero-length Get = %x, %v; want an element-length error", b, err)
+	}
+	if err := c.Put(seg, 0, nil); err == nil || !strings.Contains(err.Error(), "element length 0") {
+		t.Fatalf("empty Put = %v; want an element-length error", err)
+	}
+}
+
+// The point GET (0x01) and PUT (0x02) type bytes are retired: a frame
+// carrying either, traced or not, gets an error reply like any unknown type,
+// and the connection goes on to serve a GETV.
+func TestRetiredTypeBytesRejected(t *testing.T) {
+	n, _ := newTestPair(t)
+	seg := n.AllocSegment(16)
+	if err := n.WriteElem(seg, 8, []byte("elem0008")); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	roundTrip := func(req []byte) (byte, uint64, []byte) {
+		t.Helper()
+		if _, err := conn.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		typ, seq, payload, err := readFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return typ, seq, payload
+	}
+	oldGet := binary.BigEndian.AppendUint32(vecEntry(seg, 8), 8) // [seg][off][4B length]
+	oldPut := vecEntry(seg, 8, []byte("clobber!")...)            // [seg][off][data]
+	trace := vecEntry(0x11, 0x22)                                // [traceID][spanID]
+	for i, req := range [][]byte{
+		frame(nil, 0x01, 1, oldGet),
+		frame(nil, 0x02, 2, oldPut),
+		frame(nil, 0x01|traceFlag, 3, append(trace, oldGet...)),
+		frame(nil, 0x02|traceFlag, 4, append(trace, oldPut...)),
+	} {
+		typ, seq, payload := roundTrip(req)
+		if typ != msgError || seq != uint64(i+1) || !strings.Contains(string(payload), "unknown message type") {
+			t.Fatalf("retired frame %d: reply %#x seq %d %q, want msgError", i+1, typ, seq, payload)
+		}
+	}
+	typ, seq, payload := roundTrip(appendRequestFrame(nil, msgGetV, 5, frameSpec{length: 8, vec: []VecAddr{{seg, 8}}}))
+	if typ != msgOK || seq != 5 || string(payload) != "elem0008" {
+		t.Fatalf("GETV after the retired frames: reply %#x seq %d %q", typ, seq, payload)
+	}
+}
+
+// TestPutDoesNotRaceGet: one client storing an element while another reads
+// it, point ops and one-element vectored ops alike, is not a data race —
+// aligned 8-byte elements move by atomic word access on the node — and every
+// read returns one of the values stored, never a mix of two.
+func TestPutDoesNotRaceGet(t *testing.T) {
+	n, reader := newTestPair(t)
+	writer, err := Dial(n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	seg := n.AllocSegment(64)
+	at := []VecAddr{{seg, 24}}
+	vals := [2][]byte{elems(0x0101010101010101), elems(0xfefefefefefefefe)}
+	const rounds = 1000
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			if i%2 == 0 {
+				if err := writer.Put(seg, 24, vals[i/2%2]); err != nil {
+					done <- err
+					return
+				}
+			} else if _, err := writer.StartPutV(8, at, vals[i/2%2], TraceCtx{}).Wait(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < rounds; i++ {
+		var got []byte
+		if i%2 == 0 {
+			got, err = reader.Get(seg, 24, 8)
+		} else {
+			got, err = reader.StartGetV(8, at, TraceCtx{}).Wait()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, make([]byte, 8)) && !bytes.Equal(got, vals[0]) && !bytes.Equal(got, vals[1]) {
+			t.Fatalf("read %x: a mix of the stored values", got)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -18,10 +18,10 @@ func TestUntracedFramesBytesUnchanged(t *testing.T) {
 		name string
 		typ  byte
 		spec frameSpec
-		old  []byte // pre-tracing encoder's payload
+		old  []byte // the payload as the message table lays it out
 	}{
-		{"GET", msgGet, frameSpec{seg: 7, off: 1024, length: 64}, encodeGet(7, 1024, 64)},
-		{"PUT", msgPut, frameSpec{seg: 7, off: 8, data: []byte("abcdefgh")}, encodePut(7, 8, []byte("abcdefgh"))},
+		{"GETV", msgGetV, frameSpec{length: 64, vec: []VecAddr{{7, 1024}}}, vecPayloadOf(64, vecEntry(7, 1024))},
+		{"PUTV", msgPutV, frameSpec{length: 8, vec: []VecAddr{{7, 8}}, data: []byte("abcdefgh")}, vecPayloadOf(8, vecEntry(7, 8, []byte("abcdefgh")...))},
 		{"AM", msgAM, frameSpec{handler: 12, data: []byte{1, 2, 3}}, encodeAM(12, []byte{1, 2, 3})},
 		{"HELLO", msgHello, frameSpec{data: []byte{9, 9}}, []byte{9, 9}},
 	}
@@ -36,8 +36,8 @@ func TestUntracedFramesBytesUnchanged(t *testing.T) {
 
 func TestTracedFrameRoundTrip(t *testing.T) {
 	want := TraceCtx{TraceID: 0xDEADBEEF12345678, SpanID: 0x1}
-	for _, typ := range []byte{msgGet, msgPut, msgAM, msgHello} {
-		spec := frameSpec{seg: 3, off: 16, length: 8, handler: 5, data: []byte("xy"), tc: want}
+	for _, typ := range []byte{msgGetV, msgPutV, msgAM, msgHello} {
+		spec := frameSpec{length: 2, vec: []VecAddr{{3, 16}}, handler: 5, data: []byte("xy"), tc: want}
 		buf := appendRequestFrame(nil, typ, 9, spec)
 
 		total := binary.BigEndian.Uint32(buf)
@@ -83,9 +83,9 @@ func TestSplitTraceShortFrame(t *testing.T) {
 // FuzzSplitTrace feeds arbitrary type bytes and payloads through the inbound
 // path: it must never panic, and untraced frames must pass through untouched.
 func FuzzSplitTrace(f *testing.F) {
-	f.Add(byte(msgGet), []byte{})
+	f.Add(byte(msgGetV), []byte{})
 	f.Add(byte(msgAM|traceFlag), make([]byte, traceHdrLen))
-	f.Add(byte(msgPut|traceFlag), []byte{1})
+	f.Add(byte(msgPutV|traceFlag), []byte{1})
 	f.Add(byte(msgOK), []byte{0xFF})
 	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
 		gotTyp, tc, rest, err := splitTrace(typ, payload)

@@ -14,9 +14,9 @@ import (
 )
 
 // Vectored frames: GETV and PUTV carry many same-length elements in one
-// frame. These tests pin their wire bytes, their rejection of malformed
-// payloads, their whole-frame fencing, their wire order against point
-// frames, and their observability.
+// frame, and a point Get or Put is the one-element case. These tests pin
+// their wire bytes, their rejection of malformed payloads, their whole-frame
+// fencing, their wire order, and their observability.
 
 // memNode is a Node without a listener: enough to drive dispatchData.
 func memNode() *Node {
@@ -203,14 +203,15 @@ func TestVectorPutFencedAsWhole(t *testing.T) {
 	}
 }
 
-// TestVectorGetSeesEarlierPut: a GETV behind a corked point PUT on the same
-// connection sees that write, because data-plane frames apply in wire order.
+// TestVectorGetSeesEarlierPut: a GETV started behind a one-element PUTV on
+// the same connection, before that PUTV is waited for, sees its write,
+// because data-plane frames apply in wire order.
 func TestVectorGetSeesEarlierPut(t *testing.T) {
 	n, c := newTestPair(t)
 	seg := n.AllocSegment(64)
 	at := []VecAddr{{seg, 0}, {seg, 8}, {seg, 56}}
 	for round := uint64(1); round <= 50; round++ {
-		put := c.StartPut(seg, 8, elems(round))
+		put := c.StartPutV(8, []VecAddr{{seg, 8}}, elems(round), TraceCtx{})
 		got, err := c.StartGetV(8, at, TraceCtx{}).Wait()
 		if err != nil {
 			t.Fatalf("round %d GETV: %v", round, err)
@@ -226,7 +227,7 @@ func TestVectorGetSeesEarlierPut(t *testing.T) {
 
 // TestVectorFramesObserved: a traced GETV and PUTV each record one client
 // latency sample and RPC span, and one node request count and handler span,
-// under the span id the frame carried — as a GET and a PUT do.
+// under the span id the frame carried.
 func TestVectorFramesObserved(t *testing.T) {
 	was := obs.On()
 	obs.SetEnabled(true)

@@ -18,18 +18,19 @@ import (
 // enqueues, returns, and waits on its own response channel with its own
 // deadline.
 //
-// A single caller coalesces too: frames appended with enqueueDeferred are
-// corked — they sit in the queue until something flushes it (kick, a
-// blocking caller's enqueue, or the corked bytes reaching corkHighWater), so
-// a caller's pipelined Start* window and the node's replies to it are one
-// writev each instead of one per frame.
+// The node's replies coalesce even from a single caller: the serve loop
+// appends them with enqueueDeferred, which corks them — they sit in the queue
+// until something flushes it (kick, an enqueue, or the corked bytes reaching
+// corkHighWater) — so the replies to a burst of requests read in one go are
+// one writev instead of one per frame. The client does not cork: every
+// request is enqueued and so sent at once.
 //
 // Frame memory is pooled: callers encode into framePool buffers, held
 // through generation-checked frame handles, that the flusher recycles once
 // the batch is on the wire (or has failed). An entry may also carry a
 // zero-copy tail — a payload slice referenced directly, never copied into
-// the frame buffer; the node's larger GET responses use this to point
-// straight into the segment.
+// the frame buffer; the node's replies above inlineReply bytes (large AM and
+// GETV replies) use it.
 
 // framePool recycles frame buffers across calls and connections.
 var framePool = sync.Pool{
@@ -42,8 +43,8 @@ const maxPooledBuf = 1 << 18
 
 // corkHighWater bounds how many corked bytes wait for a flush: the enqueue
 // that reaches it flushes. It matches the peer's 64 KiB buffered reader, so a
-// window of any length (a 16K-element preload) streams in reader-sized
-// batches and the queue's memory stays bounded.
+// burst of any length streams its replies in reader-sized batches and the
+// queue's memory stays bounded.
 const corkHighWater = 64 << 10
 
 // maxRetainedEntries bounds the capacity the queue's reusable slices (pend,
@@ -185,11 +186,8 @@ type writeQueue struct {
 	spare   []wqEntry // double buffer: the flusher's drained slice, reused
 	scratch net.Buffers
 	// corked counts the bytes appended by enqueueDeferred since the flusher
-	// last took the queue; corkedAt is the clock reading taken when the first
-	// of them arrived (zero while nothing is corked), which every frame of
-	// the window shares as the base of its deadline.
+	// last took the queue.
 	corked   int
-	corkedAt time.Time
 	flushing bool  // a combining flusher is active
 	err      error // sticky: the queue is severed
 }
@@ -228,26 +226,15 @@ func (q *writeQueue) enqueue(e wqEntry) error {
 // bytes have reached corkHighWater. The caller must guarantee a later kick()
 // (or enqueue()) before it blocks on the frame's effect: the node's serve loop
 // corks replies this way while more pipelined requests are already sitting in
-// its read buffer, and the client corks a caller's Start* window until its
-// first Wait, so a burst of N frames produces one writev instead of N
+// its read buffer, so a burst of N frames produces one writev instead of N
 // single-frame flushes.
-//
-// With timeout > 0 the frame's deadline — stored in the entry and returned —
-// is timeout past the moment the current cork window opened: one clock
-// reading per window instead of one per frame.
-func (q *writeQueue) enqueueDeferred(e wqEntry, timeout time.Duration) (time.Time, error) {
+func (q *writeQueue) enqueueDeferred(e wqEntry) error {
 	q.mu.Lock()
 	if q.err != nil {
 		err := q.err
 		q.mu.Unlock()
 		releaseEntry(&e)
-		return time.Time{}, err
-	}
-	if timeout > 0 {
-		if q.corkedAt.IsZero() {
-			q.corkedAt = time.Now()
-		}
-		e.deadline = q.corkedAt.Add(timeout)
+		return err
 	}
 	q.pend = append(q.pend, e)
 	q.corked += len(e.buf.bytes()) + len(e.tail)
@@ -259,7 +246,7 @@ func (q *writeQueue) enqueueDeferred(e wqEntry, timeout time.Duration) (time.Tim
 	if flush {
 		q.flushLoop()
 	}
-	return e.deadline, nil
+	return nil
 }
 
 // kick starts a flusher for deferred frames if none is active.
@@ -287,7 +274,7 @@ func (q *writeQueue) flushLoop() {
 		batch := q.pend
 		q.pend = q.spare[:0]
 		q.spare = nil
-		q.corked, q.corkedAt = 0, time.Time{}
+		q.corked = 0
 		q.mu.Unlock()
 
 		err := q.writeBatch(batch)

@@ -77,8 +77,8 @@ func TestBulkBounds(t *testing.T) {
 
 // TestBulkUnderChaos drives batched ops through seeded resets/stalls: every
 // op must still complete with the right value via the per-op fallback
-// envelope. A node group's window is one flush, so one fault decision lands
-// on the whole window: a reset fails every op corked in it at once, and each
+// envelope. A node group's window is one frame, so one fault decision lands
+// on the whole window: a reset fails every op in it at once, and each
 // recovers through retryGet/retryPut. The rates are per flush and high enough
 // that windows are hit; the test insists that some were.
 func TestBulkUnderChaos(t *testing.T) {
@@ -131,7 +131,7 @@ func TestBulkUnderChaos(t *testing.T) {
 	}
 	// A reset that lands on a window fails more ops than there were resets.
 	if transients <= resets {
-		t.Fatalf("%d transient failures for %d resets: no reset landed on a corked window", transients, resets)
+		t.Fatalf("%d transient failures for %d resets: no reset landed on a window", transients, resets)
 	}
 }
 
@@ -261,12 +261,13 @@ func TestBulkChunksPastVecChunk(t *testing.T) {
 			t.Fatalf("element %d (idx %d) = %d, want %d", i, idxs[i], got[i], vals[i])
 		}
 	}
+	if p, g := frames("PUTV"), frames("GETV"); p != 6 || g != 6 {
+		t.Fatalf("%d PUTV and %d GETV frames, want 6 of each", p, g)
+	}
+	// Point reads after the batches: each is one more one-element GETV.
 	for i := 0; i < n; i += 97 {
 		if v, err := d.Read(i); err != nil || v != int64(i)*5-1 {
 			t.Fatalf("Read(%d) = %d, %v", i, v, err)
 		}
-	}
-	if p, g := frames("PUTV"), frames("GETV"); p != 6 || g != 6 {
-		t.Fatalf("%d PUTV and %d GETV frames, want 6 of each", p, g)
 	}
 }

@@ -411,3 +411,47 @@ func TestDisjointWorkloadValidation(t *testing.T) {
 		t.Fatalf("valid disjoint workload failed: %v", err)
 	}
 }
+
+// TestLocalOpDoesNotRaceRead: a node's own workload stores to an element it
+// owns (localOp) while a driver reads that element remotely. Both sides move
+// the element through comm's word-atomic element access, so the race
+// detector sees no race and every read returns a value that was stored,
+// never a mix of two.
+func TestLocalOpDoesNotRaceRead(t *testing.T) {
+	d, nodes := spawnChaosCluster(t, 1, 8, Options{CallTimeout: 5 * time.Second})
+	if err := d.Grow(8); err != nil {
+		t.Fatalf("Grow: %v", err)
+	}
+	const idx = 3
+	ref, off, err := d.locate(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := [2]int64{0x0101010101010101, -0x0101010101010102} // bytes 01… and fe…
+	const rounds = 1000
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			if err := nodes[ref.Node].localOp(ref.Seg, off, true, vals[i%2]); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < rounds; i++ {
+		v, err := d.Read(idx)
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if v != 0 && v != vals[0] && v != vals[1] {
+			t.Fatalf("Read = %#x: a mix of the stored values", uint64(v))
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("localOp: %v", err)
+	}
+	if err := nodes[ref.Node].localOp(ref.Seg, off, false, 0); err != nil {
+		t.Fatalf("local read: %v", err)
+	}
+}

@@ -855,17 +855,16 @@ func (n *ArrayNode) runTask(q WorkloadReq, task uint32, remote *atomic.Uint64) e
 	return nil
 }
 
+// localOp reads or writes one element of this node's own segment through
+// the element accessors, which a peer's concurrent remote access cannot
+// tear.
 func (n *ArrayNode) localOp(seg uint64, off int, update bool, v int64) error {
-	b, err := n.srv.Segment(seg)
-	if err != nil {
-		return err
-	}
+	var b [elemBytes]byte
 	if update {
-		binary.BigEndian.PutUint64(b[off:], uint64(v))
-		return nil
+		binary.BigEndian.PutUint64(b[:], uint64(v))
+		return n.srv.WriteElem(seg, off, b[:])
 	}
-	_ = binary.BigEndian.Uint64(b[off:])
-	return nil
+	return n.srv.ReadElem(seg, off, b[:])
 }
 
 func (n *ArrayNode) remoteOpOn(peers []*comm.Client, ref BlockRef, off int, update bool, v int64) error {

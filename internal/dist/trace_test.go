@@ -73,7 +73,9 @@ func tracedWorkload(t *testing.T, d *Driver) {
 
 // TestTracedBulkFrameSpans: a traced batch records one client RPC span per
 // (batch, node) frame, each with its own span id, and the nodes record the
-// handler spans that the merged trace links to them.
+// handler spans that the merged trace links to them. The workload's 8 point
+// writes and 8 point reads are one-element PUTV and GETV frames, so each adds
+// one span of its own on both sides.
 func TestTracedBulkFrameSpans(t *testing.T) {
 	withObsOn(t)
 	d, reg := spawnTracedCluster(t, 3, 5)
@@ -86,8 +88,8 @@ func TestTracedBulkFrameSpans(t *testing.T) {
 	}
 	for name, m := range ids {
 		// 512 elements in blocks of 128 cover all three nodes.
-		if len(m) != 3 {
-			t.Errorf("%s spans with distinct ids: %d, want one per node (3)", name, len(m))
+		if len(m) != 3+8 {
+			t.Errorf("%s spans with distinct ids: %d, want one per node (3) and one per point op (8)", name, len(m))
 		}
 	}
 	dumps, err := d.CollectTrace(4)
@@ -102,8 +104,8 @@ func TestTracedBulkFrameSpans(t *testing.T) {
 			}
 		}
 	}
-	if handled != 6 {
-		t.Errorf("nodes recorded %d GETV/PUTV handler spans, want 6", handled)
+	if handled != 6+16 {
+		t.Errorf("nodes recorded %d GETV/PUTV handler spans, want 6 for the batches and 16 for the point ops", handled)
 	}
 }
 
